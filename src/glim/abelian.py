@@ -168,14 +168,6 @@ def trivial_subgroup(group: FinAbGroup) -> Subgroup:
     return subgroup_from_generators(group, ())
 
 
-def full_subgroup(group: FinAbGroup) -> Subgroup:
-    gens = [
-        group.element(tuple(int(i == j) for j in range(len(group.factors))))
-        for i in range(len(group.factors))
-    ]
-    return subgroup_from_generators(group, gens)
-
-
 def subgroup_join(a: Subgroup, b: Subgroup) -> Subgroup:
     if a.parent != b.parent:
         raise ValueError("subgroups live in different groups")
@@ -402,14 +394,6 @@ def dual_group(group: FinAbGroup) -> FinAbGroup:
     return FinAbGroup(group.factors)
 
 
-def character_from_dual_elem(g: GroupElem) -> Character:
-    return Character(g.group, g.coords)
-
-
-def dual_elem_from_character(chi: Character) -> GroupElem:
-    return GroupElem(dual_group(chi.group), chi.exponents)
-
-
 @lru_cache(maxsize=None)
 def dual_and_orbits(group: FinAbGroup) -> tuple[CharOrbit, ...]:
     """All characters of G partitioned into Galois orbits, trivial orbit first."""
@@ -429,17 +413,6 @@ def dual_and_orbits(group: FinAbGroup) -> tuple[CharOrbit, ...]:
     orbits.sort(key=lambda o: o.sort_key())
     assert sum(o.field_degree for o in orbits) == group.order
     return tuple(orbits)
-
-
-def trivial_orbit(group: FinAbGroup) -> CharOrbit:
-    return dual_and_orbits(group)[0]
-
-
-def orbit_of_character(chi: Character) -> CharOrbit:
-    for orbit in dual_and_orbits(chi.group):
-        if chi in orbit.members:
-            return orbit
-    raise AssertionError("character missed by the orbit partition")
 
 
 def perp(group: FinAbGroup, arg):

@@ -46,10 +46,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def euler_phi(n: int) -> int:
-    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
-
-
 class CyclotomicField:
     """The field Q(zeta_n); use :func:`get_field` to obtain the cached instance."""
 

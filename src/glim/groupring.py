@@ -199,12 +199,6 @@ class ProjCoords:
         if len(self.orbits) != len(self.values):
             raise ValueError("one value per orbit required")
 
-    def value_at(self, orbit: CharOrbit) -> CycNum:
-        for o, v in zip(self.orbits, self.values):
-            if o == orbit:
-                return v
-        raise KeyError(f"{orbit} not in this projection")
-
     def _check(self, other: "ProjCoords"):
         if self.orbits != other.orbits:
             raise ValueError("projections over different orbit sets")
@@ -245,10 +239,6 @@ def project(z: GroupRingElem, orbits) -> ProjCoords:
     return ProjCoords(
         z.group, orbs, tuple(char_eval(z, o.representative) for o in orbs)
     )
-
-
-def ones_coords(group: FinAbGroup, orbits) -> ProjCoords:
-    return project(GroupRingElem.one(group), orbits)
 
 
 # ---------------------------------------------------------------------------

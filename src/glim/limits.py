@@ -212,15 +212,10 @@ class K0Descriptor:
     s0: frozenset[CharOrbit]
     x0_bar: GroupRingElem
     cycle_bar: GroupRingElem
-    prefix_bars: tuple[GroupRingElem, ...] = ()
 
     @property
     def order_unit(self) -> ProjCoords:
         return project(self.x0_bar, self.orbits)
-
-    @property
-    def denom_prefix(self) -> tuple[ProjCoords, ...]:
-        return tuple(project(a, self.orbits) for a in self.prefix_bars)
 
     @property
     def denom_cycle(self) -> tuple[ProjCoords, ...]:
@@ -230,23 +225,14 @@ class K0Descriptor:
     def S(self) -> frozenset[CharOrbit]:
         return frozenset(self.orbits)
 
-    def coords_of(self, z: GroupRingElem) -> ProjCoords:
-        return project(z, self.orbits)
-
     def ones(self) -> ProjCoords:
         return project(GroupRingElem.one(self.group), self.orbits)
 
     def denominators(self, budget: int):
-        """Unrolled denominator elements b_i, i = 1..(prefix length + budget)."""
+        """Unrolled denominator elements b_i = cycle_bar^i, i = 1..budget."""
         running = GroupRingElem.one(self.group)
-        i = 0
-        for a in self.prefix_bars:
-            running = running * a
-            i += 1
-            yield i, running
-        for _ in range(budget):
+        for i in range(1, budget + 1):
             running = running * self.cycle_bar
-            i += 1
             yield i, running
 
     def denominator_at(self, index: int) -> GroupRingElem:
@@ -304,14 +290,6 @@ def _valuation(q: Fraction, p: int) -> int:
 def _norm_obstruction(k0: K0Descriptor, z: ProjCoords) -> dict | None:
     """Denominator primes of a coordinate norm that the cycle can never clear."""
     cyc = project(k0.cycle_bar, k0.orbits)
-    partial_norms: list[list[Fraction]] = []
-    running = GroupRingElem.one(k0.group)
-    partial_norms.append([v.norm_to_q() for v in project(running, k0.orbits).values])
-    for a in k0.prefix_bars:
-        running = running * a
-        partial_norms.append(
-            [v.norm_to_q() for v in project(running, k0.orbits).values]
-        )
     for j, orbit in enumerate(k0.orbits):
         val = z.values[j]
         if val.is_zero:
@@ -324,19 +302,15 @@ def _norm_obstruction(k0: K0Descriptor, z: ProjCoords) -> dict | None:
             if den % p == 0:
                 while den % p == 0:
                     den //= p
-                if _valuation(cyc_norm, p) == 0:
-                    cap = max(
-                        _valuation(norms[j], p) if norms[j] else 0
-                        for norms in partial_norms
-                    )
-                    if _valuation(nz, p) + cap < 0:
-                        return {
-                            "kind": "norm-obstruction",
-                            "orbit": orbit_payload(orbit),
-                            "prime": p,
-                            "value_valuation": _valuation(nz, p),
-                            "prefix_valuation_cap": cap,
-                        }
+                if _valuation(cyc_norm, p) == 0 and _valuation(nz, p) < 0:
+                    return {
+                        "kind": "norm-obstruction",
+                        "orbit": orbit_payload(orbit),
+                        "prime": p,
+                        "value_valuation": _valuation(nz, p),
+                        # 0: standard_form leaves no prefix (key kept for the schema)
+                        "prefix_valuation_cap": 0,
+                    }
             p += 1
     return None
 
@@ -821,13 +795,7 @@ def verify_member_certificate(
             cyc_norm = project(k0.cycle_bar, k0.orbits).values[idx].norm_to_q()
             if _valuation(cyc_norm, p) != 0:
                 return False
-            running = GroupRingElem.one(k0.group)
-            caps = [0]
-            for a in k0.prefix_bars:
-                running = running * a
-                nv = project(running, k0.orbits).values[idx].norm_to_q()
-                caps.append(_valuation(nv, p) if nv else 0)
-            return _valuation(val.norm_to_q(), p) + max(caps) < 0
+            return _valuation(val.norm_to_q(), p) < 0
         return False
     return kind == "budget-exhausted"
 

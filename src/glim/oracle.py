@@ -75,54 +75,89 @@ def _vec_scale(src: Vec, scale: CycNum) -> Vec:
     return out
 
 
-def _vec_eq(a: Vec, b: Vec) -> bool:
-    return a == b
+def _vec_combine(coeffs: Vec, basis) -> Vec:
+    """The combination sum_j coeffs[j] * basis[j]."""
+    out: Vec = {}
+    for j, c in coeffs.items():
+        _vec_add_scaled(out, basis[j], c)
+    return out
 
 
 class _Echelon:
     """Incremental row reduction of sparse vectors over the field.
 
     Stored rows are normalized to pivot coefficient 1, so reduction needs
-    only multiplications.
+    only multiplications.  Given the field, the echelon also tracks, for every
+    row, its combination over the tags of the vectors inserted so far.
     """
 
-    def __init__(self):
+    def __init__(self, field=None):
         self.rows: list[Vec] = []
-        self.pivots: dict = {}  # pivot key -> row index
+        self._pivots: dict = {}  # pivot key -> row index
+        self._field = field
+        self._combos: list[Vec] = []  # per row, over tags (tracked only)
 
-    @staticmethod
-    def _pivot_key(vec: Vec):
-        return min(vec.keys())
-
-    def reduce(self, vec: Vec) -> Vec:
+    def _reduce(self, vec: Vec, combo: Vec | None = None) -> Vec:
+        """The remainder of vec; adds to combo the tag combination of every
+        row subtracted (when tracking)."""
         vec = dict(vec)
         while vec:
-            key = self._pivot_key(vec)
-            idx = self.pivots.get(key)
+            key = min(vec)
+            idx = self._pivots.get(key)
             if idx is None:
-                return vec
-            _vec_add_scaled(vec, self.rows[idx], -vec[key])
+                break
+            factor = -vec[key]
+            _vec_add_scaled(vec, self.rows[idx], factor)
+            if combo is not None:
+                _vec_add_scaled(combo, self._combos[idx], factor)
         return vec
 
-    def add(self, vec: Vec) -> Vec | None:
-        """Insert; returns the normalized new row, or None if dependent."""
-        red = self.reduce(vec)
+    def add(self, vec: Vec, tag=None) -> Vec | None:
+        """Insert vec under tag.  Returns None when vec adds a row; otherwise
+        the relation over tags, summing to zero, that makes vec dependent
+        (empty when not tracking)."""
+        tracked = self._field is not None
+        combo = {tag: self._field.one} if tracked else None
+        red = self._reduce(vec, combo)
         if not red:
-            return None
-        piv = self._pivot_key(red)
+            return combo if tracked else {}
+        piv = min(red)
         lead = red[piv]
         if not (lead.is_rational and lead.as_rational() == 1):
-            red = _vec_scale(red, lead.inverse())
-        self.pivots[piv] = len(self.rows)
+            inv = lead.inverse()
+            red = _vec_scale(red, inv)
+            if tracked:
+                combo = _vec_scale(combo, inv)
+        self._pivots[piv] = len(self.rows)
         self.rows.append(red)
-        return red
+        if tracked:
+            self._combos.append(combo)
+        return None
 
-    def contains(self, vec: Vec) -> bool:
-        return not self.reduce(vec)
+    def express(self, vec: Vec) -> Vec:
+        """The combination over tags equal to vec (tracking echelons only)."""
+        combo: Vec = {}
+        if self._reduce(vec, combo):
+            raise ValueError("vector outside the span")
+        return _vec_scale(combo, -self._field.one)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+
+def _root_exponents(fld) -> dict:
+    """Every root of unity of the field, keyed by coefficients, with its
+    exponent over a generator of the cyclic group they form (for odd n,
+    -zeta^((n+1)/2) generates the 2n-th roots of unity)."""
+    n = fld.n
+    gen = fld.zeta(1) if n % 2 == 0 else -fld.zeta((n + 1) // 2)
+    out: dict = {}
+    root = fld.one
+    while root.coeffs not in out:
+        out[root.coeffs] = len(out)
+        root = root * gen
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +168,11 @@ class FiniteGradedAlgebra:
     """A finite-dimensional graded algebra by structure constants.
 
     ``table[(i, j)]`` maps output index k to the coefficient of basis_k in
-    basis_i * basis_j; missing pairs multiply to zero.  Grading compatibility
-    is checked on construction, and associativity on all basis triples for
-    dimensions up to 64.
+    basis_i * basis_j; missing pairs multiply to zero.  The table must be
+    monomial: every stored cell holds exactly one nonzero entry.  Grading
+    compatibility is checked on construction; up to dimension 64 every
+    constant must also be a root of unity, and associativity is checked
+    exactly on all basis triples.
     """
 
     def __init__(
@@ -155,11 +192,14 @@ class FiniteGradedAlgebra:
         if generators is None:
             generators = tuple({i: self.field.one} for i in range(self.dim))
         self.generators = tuple(dict(g) for g in generators)
-        for (i, j), out in table.items():
-            dij = degrees[i] * degrees[j]
-            for k, c in out.items():
-                if not c.is_zero and degrees[k] != dij:
-                    raise ValueError("structure constants violate the grading")
+        for (i, j), cell in table.items():
+            if len(cell) != 1 or next(iter(cell.values())).is_zero:
+                raise ValueError(
+                    "a structure-constant cell must hold one nonzero entry"
+                )
+            (k,) = cell
+            if degrees[k] != degrees[i] * degrees[j]:
+                raise ValueError("structure constants violate the grading")
         for i in range(self.dim):
             e_i = {i: self.field.one}
             if self.mul(self.unit, e_i) != e_i or self.mul(e_i, self.unit) != e_i:
@@ -168,17 +208,32 @@ class FiniteGradedAlgebra:
             self._check_associativity()
 
     def _check_associativity(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.table.get((i, j), {})
-                for k in range(self.dim):
-                    left = {}
-                    for t, c in ij.items():
-                        _vec_add_scaled(left, self.table.get((t, k), {}), c)
-                    right = {}
-                    for t, c in self.table.get((j, k), {}).items():
-                        _vec_add_scaled(right, self.table.get((i, t), {}), c)
-                    if left != right:
+        """Exact check on all basis triples.  A product e_i e_j = zeta^a e_t
+        is the integer pair (t, a), so each bracketing of a triple is zero or
+        an index with an exponent mod the order m of the roots of unity."""
+        exponents = _root_exponents(self.field)
+        m = len(exponents)
+        mono = {}
+        for ij, cell in self.table.items():
+            ((t, c),) = cell.items()
+            if c.coeffs not in exponents:
+                raise ValueError("structure constant is not a root of unity")
+            mono[ij] = (t, exponents[c.coeffs])
+        basis = range(self.dim)
+        for i in basis:
+            for j in basis:
+                ij = mono.get((i, j))
+                for k in basis:
+                    jk = mono.get((j, k))
+                    left = mono.get((ij[0], k)) if ij else None
+                    right = mono.get((i, jk[0])) if jk else None
+                    if left is None or right is None:
+                        ok = left is right
+                    else:
+                        ok = left[0] == right[0] and (
+                            ij[1] + left[1] - jk[1] - right[1]
+                        ) % m == 0
+                    if not ok:
                         raise ValueError(
                             f"associativity fails on basis triple ({i},{j},{k})"
                         )
@@ -210,17 +265,8 @@ class FiniteGradedAlgebra:
                 raise ValueError("vector is not homogeneous")
         return deg
 
-    @property
-    def is_monomial(self) -> bool:
-        """True when every basis product is a scalar times one basis element."""
-        cached = getattr(self, "_is_monomial", None)
-        if cached is None:
-            cached = all(len(cell) <= 1 for cell in self.table.values())
-            self._is_monomial = cached
-        return cached
-
     def monomial_invertible(self, i: int) -> bool:
-        """Exact invertibility of a basis element of a monomial algebra."""
+        """Exact invertibility of a basis element."""
         cached = getattr(self, "_mono_inv", None)
         if cached is None:
             cached = {}
@@ -472,13 +518,6 @@ class _Module:
             self.blocks.setdefault(deg, _Echelon()).add(w)
         self.dim = sum(e.dim for e in self.blocks.values())
 
-    def contains(self, vec: Vec) -> bool:
-        if not vec:
-            return True
-        deg = self.alg.vec_degree(vec)
-        blk = self.blocks.get(deg)
-        return blk is not None and blk.contains(vec)
-
     def homogeneous_basis(self):
         for deg in sorted(self.blocks, key=lambda d: d.coords):
             for row in self.blocks[deg].rows:
@@ -497,78 +536,35 @@ class _Endo:
         self.alg = alg
         self.mod = mod
         h = mod.h
-        # homogeneous annihilator basis, per degree block of A
+        # homogeneous annihilator basis, per degree block of A; each block's
+        # tracked echelon also yields preimages under a -> a*h
         comps = alg.component_indices()
         self.ann: list[Vec] = []
-        self._preimage_data: dict[GroupElem, tuple[list[int], _Echelon, list[Vec]]] = {}
+        self._preimage_data: dict[GroupElem, _Echelon] = {}
         for deg in sorted(comps, key=lambda d: d.coords):
-            idxs = comps[deg]
-            ech = _Echelon()
-            combos: list[Vec] = []  # row-echelon history in A coordinates
-            for i in idxs:
-                w = alg.mul_basis(i, h)
-                combo = {i: alg.field.one}
-                red = dict(w)
-                # reduce against existing rows, tracking the combination
-                while red:
-                    key = min(red.keys())
-                    ridx = ech.pivots.get(key)
-                    if ridx is None:
-                        break
-                    row = ech.rows[ridx]
-                    factor = -(red[key] / row[key])
-                    _vec_add_scaled(red, row, factor)
-                    _vec_add_scaled(combo, combos[ridx], factor)
-                if red:
-                    ech.pivots[min(red.keys())] = len(ech.rows)
-                    ech.rows.append(red)
-                    combos.append(combo)
-                else:
-                    self.ann.append(combo)
-            self._preimage_data[deg * mod.h_deg] = (idxs, ech, combos)
-        # W per degree of V
+            ech = _Echelon(alg.field)
+            for i in comps[deg]:
+                relation = ech.add(alg.mul_basis(i, h), i)
+                if relation is not None:
+                    self.ann.append(relation)
+            self._preimage_data[deg * mod.h_deg] = ech
+        # W per degree of V: the combinations of V's basis killed by ann
         self.w_blocks: dict[GroupElem, list[Vec]] = {}
         for deg in sorted(mod.blocks, key=lambda d: d.coords):
             vecs = mod.blocks[deg].rows
-            if not vecs:
-                continue
-            ech = _Echelon()
-            kernel: list[Vec] = []
-            # unknown x_j over vecs; constraints: n * (sum x_j v_j) = 0
-            cols = []
-            for j, v in enumerate(vecs):
-                big: Vec = {}
-                for t, nvec in enumerate(self.ann):
-                    prod = alg.mul(nvec, v)
-                    for out, c in prod.items():
-                        big[(t, out)] = c
-                cols.append((j, big))
-            combos2: list[Vec] = []
-            for j, big in cols:
-                combo = {j: alg.field.one}
-                red = dict(big)
-                while red:
-                    key = min(red.keys())
-                    ridx = ech.pivots.get(key)
-                    if ridx is None:
-                        break
-                    row = ech.rows[ridx]
-                    factor = -(red[key] / row[key])
-                    _vec_add_scaled(red, row, factor)
-                    _vec_add_scaled(combo, combos2[ridx], factor)
-                if red:
-                    ech.pivots[min(red.keys())] = len(ech.rows)
-                    ech.rows.append(red)
-                    combos2.append(combo)
-                else:
-                    kernel.append(combo)
+            ech = _Echelon(alg.field)
             ws = []
-            for combo in kernel:
-                w: Vec = {}
-                for j, c in combo.items():
-                    _vec_add_scaled(w, vecs[j], c)
-                if w:
-                    ws.append(w)
+            for j, v in enumerate(vecs):
+                images = {
+                    (t, out): c
+                    for t, nvec in enumerate(self.ann)
+                    for out, c in alg.mul(nvec, v).items()
+                }
+                relation = ech.add(images, j)
+                if relation is not None:
+                    w = _vec_combine(relation, vecs)
+                    if w:
+                        ws.append(w)
             if ws:
                 self.w_blocks[deg] = ws
         self.identity = dict(h)
@@ -583,34 +579,11 @@ class _Endo:
 
     def preimage(self, w: Vec) -> Vec:
         """Some algebra element a with a*h = w (w must lie in A*h)."""
-        deg = self.alg.vec_degree(w)
-        idxs, ech, combos = self._preimage_data[deg]
-        red = dict(w)
-        combo: Vec = {}
-        while red:
-            key = min(red.keys())
-            ridx = ech.pivots.get(key)
-            if ridx is None:
-                raise ValueError("vector not in the cyclic module")
-            row = ech.rows[ridx]
-            factor = -(red[key] / row[key])
-            _vec_add_scaled(red, row, factor)
-            _vec_add_scaled(combo, combos[ridx], -factor)
-        return combo
+        return self._preimage_data[self.alg.vec_degree(w)].express(w)
 
     def product(self, w1: Vec, w2: Vec) -> Vec:
         """Reverse-composition product, evaluated at h."""
         return self.alg.mul(self.preimage(w1), w2)
-
-    def power_scalar(self, w: Vec, cap: int) -> tuple[int, CycNum] | None:
-        """Least m >= 1 with w^m a scalar multiple of the identity, if found."""
-        current = dict(w)
-        for m in range(1, cap + 1):
-            scal = self._scalar_of(current)
-            if scal is not None:
-                return m, scal
-            current = self.product(current, w)
-        return None
 
     def _scalar_of(self, w: Vec) -> CycNum | None:
         ident = self.identity
@@ -622,11 +595,7 @@ class _Endo:
         return lam if scaled == w else None
 
     def is_invertible(self, w: Vec) -> bool:
-        if (
-            self.alg.is_monomial
-            and len(w) == 1
-            and self.alg.monomial_invertible(next(iter(w)))
-        ):
+        if len(w) == 1 and self.alg.monomial_invertible(next(iter(w))):
             return True
         probe = _Module(self.alg, w)
         return probe.dim == self.mod.dim
@@ -635,41 +604,10 @@ class _Endo:
         """Solve product(w, w') = identity for w' in W."""
         a_w = self.preimage(w)
         basis = [v for vs in self.w_blocks.values() for v in vs]
-        ech = _Echelon()
-        combos: list[Vec] = []
+        ech = _Echelon(self.alg.field)
         for j, v in enumerate(basis):
-            img = self.alg.mul(a_w, v)
-            combo = {j: self.alg.field.one}
-            red = dict(img)
-            while red:
-                key = min(red.keys())
-                ridx = ech.pivots.get(key)
-                if ridx is None:
-                    break
-                row = ech.rows[ridx]
-                factor = -(red[key] / row[key])
-                _vec_add_scaled(red, row, factor)
-                _vec_add_scaled(combo, combos[ridx], factor)
-            if red:
-                ech.pivots[min(red.keys())] = len(ech.rows)
-                ech.rows.append(red)
-                combos.append(combo)
-        target = self.identity
-        red = dict(target)
-        combo: Vec = {}
-        while red:
-            key = min(red.keys())
-            ridx = ech.pivots.get(key)
-            if ridx is None:
-                raise ValueError("element not invertible in the endo algebra")
-            row = ech.rows[ridx]
-            factor = -(red[key] / row[key])
-            _vec_add_scaled(red, row, factor)
-            _vec_add_scaled(combo, combos[ridx], -factor)
-        out: Vec = {}
-        for j, c in combo.items():
-            _vec_add_scaled(out, basis[j], c)
-        return out
+            ech.add(self.alg.mul(a_w, v), j)
+        return _vec_combine(ech.express(self.identity), basis)
 
 
 def _root_candidates(field, coeffs: list[CycNum]):
@@ -703,33 +641,13 @@ def _divisors(v: int) -> list[int]:
 def _min_poly(endo: _Endo, w: Vec, cap: int) -> list[CycNum]:
     """Minimal polynomial coefficients (ascending) of w in the endo algebra."""
     field = endo.alg.field
-    ech = _Echelon()
-    combos: list[list[CycNum]] = []
+    ech = _Echelon(field)
     power = dict(endo.identity)
-    poly = [field.one]
     for deg in range(cap + 1):
-        red = dict(power)
-        combo_poly = list(poly)
-        while red:
-            key = min(red.keys())
-            ridx = ech.pivots.get(key)
-            if ridx is None:
-                break
-            row = ech.rows[ridx]
-            factor = -(red[key] / row[key])
-            _vec_add_scaled(red, row, factor)
-            other = combos[ridx]
-            width = max(len(combo_poly), len(other))
-            combo_poly = combo_poly + [field.zero] * (width - len(combo_poly))
-            for i, c in enumerate(other):
-                combo_poly[i] = combo_poly[i] + factor * c
-        if not red:
-            return combo_poly
-        ech.pivots[min(red.keys())] = len(ech.rows)
-        ech.rows.append(red)
-        combos.append(combo_poly)
+        relation = ech.add(power, deg)
+        if relation is not None:
+            return [relation.get(k, field.zero) for k in range(deg + 1)]
         power = endo.product(power, w)
-        poly = [field.zero] + poly
     raise AssertionError("minimal polynomial not found below the dimension cap")
 
 
@@ -806,11 +724,7 @@ def minimal_graded_left_ideal(
     while True:
         shrunk = False
         for _deg, v in mod.homogeneous_basis():
-            if (
-                a.is_monomial
-                and len(v) == 1
-                and a.monomial_invertible(next(iter(v)))
-            ):
+            if len(v) == 1 and a.monomial_invertible(next(iter(v))):
                 continue  # invertible elements generate all of A, never a shrink
             probe = _Module(a, v)
             if 0 < probe.dim < mod.dim:
@@ -907,7 +821,7 @@ def graded_simple_decompose(a: FiniteGradedAlgebra) -> WedderburnInvariant:
         fresh = False
         for w in w_basis:
             img = endo.alg.mul(endo.preimage(v), w)
-            if ech.add(img) is not None:
+            if ech.add(img) is None:
                 fresh = True
         if fresh:
             kept_degrees.append(deg)
@@ -962,28 +876,6 @@ def observed_tensor_invariant(
     """The invariant of the explicitly constructed tensor product."""
     prod_alg = tensor(algebra_of_class(d1), opposite(algebra_of_class(d2)))
     return graded_simple_decompose(prod_alg)
-
-
-def brauer_mul_via_oracle(
-    d1: DivisionClass, d2: DivisionClass
-) -> tuple[DivisionClass, GroupRingElem]:
-    """Fallback for the matrix multiset: decompose the explicit tensor product
-    instead of trusting the coset-uniformity construction.
-
-    The returned multiset is one lift of the shift-normalized coset multiset,
-    so it agrees with the structural construction up to shift.
-    """
-    inv = observed_tensor_invariant(d1, d2)
-    qgroup, alpha = quotient(d1.group, inv.support)
-    lift: dict[GroupElem, Fraction] = {}
-    by_image: dict[GroupElem, GroupElem] = {}
-    for g in sorted(d1.group.elements(), key=lambda e: e.coords):
-        by_image.setdefault(alpha(g), g)
-    for coords, mult in inv.coset_multiset:
-        rep = by_image[qgroup.element(tuple(coords))]
-        lift[rep] = Fraction(mult)
-    y = GroupRingElem.from_dict(d1.group, lift)
-    return DivisionClass(inv.bichar), y
 
 
 def cross_validate_group(group: FinAbGroup) -> list[str]:

@@ -157,8 +157,14 @@ def test_member_k_dyadic(trivial_group):
     assert r.verdict == "yes"
     third = ProjCoords(trivial_group, k.orbits, (f.scalar(Fraction(1, 3)),))
     r2 = in_k_group(k, third, 8)
-    assert r2.verdict == "no" and r2.certificate["kind"] == "norm-obstruction"
-    assert r2.certificate["prime"] == 3
+    assert r2.verdict == "no"
+    assert r2.certificate == {
+        "kind": "norm-obstruction",
+        "orbit": {"rep": [0], "size": 1},
+        "prime": 3,
+        "value_valuation": -1,
+        "prefix_valuation_cap": 0,
+    }
     assert verify_member_certificate(k, third, r2.verdict, r2.certificate)
 
 

@@ -3,9 +3,13 @@ import random
 import pytest
 
 from glim.abelian import group_new, subgroup_from_generators
+from glim.cyclotomic import get_field
 from glim.divalg import Bicharacter, DivisionClass, enumerate_division_classes
 from glim.groupring import GroupRingElem
 from glim.oracle import (
+    FiniteGradedAlgebra,
+    _Echelon,
+    _vec_combine,
     build_matrix,
     build_twisted,
     center_dimension,
@@ -167,3 +171,63 @@ def test_mixed_pair_z44_matches_oracle():
     assert want.support.elements == got.support.elements
     assert want.bichar == got.bichar
     assert want.coset_multiset == got.coset_multiset
+
+
+# ---------------------------------------------------------------------------
+# the monomial structure-constant contract
+
+
+def _twisted_z42():
+    g = group_new([4, 2])
+    full = subgroup_from_generators(g, [g.element((1, 0)), g.element((0, 1))])
+    return build_twisted(Bicharacter.trivial(full))
+
+
+def _with_cell(alg, cell_of):
+    """A copy of alg's table with the cell of two non-identity basis
+    elements replaced by ``cell_of(old_cell)``."""
+    e = alg.degrees.index(alg.group.identity)
+    i, j = [k for k in range(alg.dim) if k != e][:2]
+    table = dict(alg.table)
+    table[(i, j)] = cell_of(table[(i, j)])
+    return FiniteGradedAlgebra(alg.group, alg.degrees, table, alg.unit)
+
+
+def test_perturbed_constant_fails_associativity():
+    alg = _twisted_z42()
+    zeta = alg.field.zeta(1)
+    with pytest.raises(ValueError, match="associativity fails"):
+        _with_cell(alg, lambda cell: {k: c * zeta for k, c in cell.items()})
+
+
+def test_cell_with_two_entries_is_rejected():
+    alg = _twisted_z42()
+    with pytest.raises(ValueError, match="one nonzero entry"):
+        _with_cell(alg, lambda cell: {**cell, 0: alg.field.one})
+
+
+def test_constant_off_the_roots_of_unity_is_rejected():
+    alg = _twisted_z42()
+    with pytest.raises(ValueError, match="not a root of unity"):
+        _with_cell(alg, lambda cell: {k: c * 2 for k, c in cell.items()})
+
+
+# ---------------------------------------------------------------------------
+# the tracked echelon
+
+
+def test_tracked_echelon_relations_and_expressions():
+    fld = get_field(4)
+    one, zeta = fld.one, fld.zeta(1)
+    vecs = [{0: one, 2: zeta}, {1: one * 2, 2: one}, {0: zeta, 3: one}]
+    vecs.append(_vec_combine({0: zeta, 2: one * 3}, vecs))  # dependent
+    vecs.append({4: one})
+    ech = _Echelon(fld)
+    relations = [ech.add(v, tag) for tag, v in enumerate(vecs)]
+    assert relations[:3] == [None, None, None] and relations[4] is None
+    dependent = relations[3]
+    assert dependent[3] == one and _vec_combine(dependent, vecs) == {}
+    for target in (vecs[1], _vec_combine({0: one, 4: zeta}, vecs)):
+        assert _vec_combine(ech.express(target), vecs) == target
+    with pytest.raises(ValueError):
+        ech.express({5: one})
