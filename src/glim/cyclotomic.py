@@ -1,16 +1,17 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_n).
 
-Elements are stored as rational-coefficient polynomials in zeta_n reduced
-modulo the n-th cyclotomic polynomial, so equality of values is equality of
-coefficient vectors.  No floating point is used anywhere.
+An element is a polynomial in zeta_n reduced modulo the n-th cyclotomic
+polynomial, stored as a tuple of integer numerators over one positive common
+denominator in lowest terms (zero has denominator 1).  The form is canonical,
+so equality of values is equality of integers.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -47,7 +48,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 class CyclotomicField:
-    """The field Q(zeta_n); use :func:`get_field` to obtain the cached instance."""
+    """The field Q(zeta_n); use :func:`get_field` to obtain the cached instance.
+
+    ``zero``, ``one`` and the n powers of zeta are built once, here.
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -68,7 +72,12 @@ class CyclotomicField:
                     for i in range(self.degree):
                         vec[i] -= lead * self.poly[i]
             table.append(tuple(vec))
-        self._pow = table
+        # kept sparse: the (index, coefficient) pairs of each reduction
+        self._pow = [tuple((i, c) for i, c in enumerate(vec) if c) for vec in table]
+        zeros = (0,) * self.degree
+        self.zero = CycNum(self, zeros, 1)
+        self.one = CycNum(self, (1,) + zeros[1:], 1)
+        self._zetas = tuple(CycNum(self, table[k], 1) for k in range(n))
 
     def element(self, coeffs) -> CycNum:
         vec = [Fraction(c) for c in coeffs]
@@ -76,35 +85,17 @@ class CyclotomicField:
             vec += [Fraction(0)] * (self.degree - len(vec))
         if len(vec) != self.degree:
             raise ValueError("coefficient vector too long")
-        return CycNum(self, tuple(vec))
+        den = lcm(*(c.denominator for c in vec))
+        return _canonical(self, [c.numerator * (den // c.denominator) for c in vec], den)
 
     def scalar(self, value) -> CycNum:
-        return self.element([Fraction(value)])
-
-    @property
-    def zero(self) -> CycNum:
-        return self.scalar(0)
-
-    @property
-    def one(self) -> CycNum:
-        return self.scalar(1)
+        return self.element([value])
 
     def zeta(self, k: int = 1) -> CycNum:
-        k %= self.n
-        return CycNum(self, tuple(Fraction(c) for c in self._pow[k]))
+        return self._zetas[k % self.n]
 
     def __repr__(self) -> str:
         return f"CyclotomicField({self.n})"
-
-    def _reduce(self, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * self.degree
-        for k, c in enumerate(coeffs):
-            if c:
-                red = self._pow[k]
-                for i in range(self.degree):
-                    if red[i]:
-                        out[i] += c * red[i]
-        return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -112,12 +103,39 @@ def get_field(n: int) -> CyclotomicField:
     return CyclotomicField(n)
 
 
-@dataclass(frozen=True)
-class CycNum:
-    """An element of Q(zeta_n), canonically reduced mod the cyclotomic polynomial."""
+def _canonical(field: CyclotomicField, num: list[int], den: int) -> CycNum:
+    """The element num/den (den > 0), brought to lowest terms."""
+    if not any(num):
+        return field.zero
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return CycNum(field, tuple(num), den)
 
-    field: CyclotomicField
-    coeffs: tuple[Fraction, ...]
+
+class CycNum:
+    """An element of Q(zeta_n), canonically reduced mod the cyclotomic polynomial.
+
+    The value is ``sum(num[i] * zeta**i) / den``: integer numerators over one
+    positive common denominator, in lowest terms, with zero as denominator 1.
+    Instances are values: nothing rebinds their fields.  Build them through
+    the field (``element``, ``scalar``, ``zeta``, ``zero``, ``one``); the
+    constructor takes the canonical form as given.
+    """
+
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: CyclotomicField, num: tuple[int, ...], den: int):
+        self.field = field
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients of 1, zeta, ..., zeta^(degree-1)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _coerce(self, other) -> "CycNum | None":
         if isinstance(other, CycNum):
@@ -134,12 +152,18 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            num = [a + b for a, b in zip(self.num, o.num)]
+        else:
+            num = [a * db + b * da for a, b in zip(self.num, o.num)]
+            da *= db
+        return _canonical(self.field, num, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.field, tuple(-a for a in self.coeffs))
+        return CycNum(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -157,29 +181,22 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # scalar fast paths: most coefficients in practice are rational
-        if all(c == 0 for c in o.coeffs[1:]):
-            s = o.coeffs[0]
-            if s == 0:
-                return self.field.zero
-            if s == 1:
-                return self
-            return CycNum(self.field, tuple(a * s for a in self.coeffs))
-        if all(c == 0 for c in self.coeffs[1:]):
-            s = self.coeffs[0]
-            if s == 0:
-                return self.field.zero
-            if s == 1:
-                return o
-            return CycNum(self.field, tuple(b * s for b in o.coeffs))
-        d = self.field.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return CycNum(self.field, self.field._reduce(prod))
+        fld = self.field
+        d = fld.degree
+        # integer convolution; then each power zeta^k, k >= degree, reduced
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in enumerate(o.num, i):
+                    if y:
+                        prod[j] += x * y
+        out = prod[:d]
+        for k in range(d, 2 * d - 1):
+            c = prod[k]
+            if c:
+                for i, r in fld._pow[k]:
+                    out[i] += c * r
+        return _canonical(fld, out, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -211,68 +228,61 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self) -> int:
-        return hash((self.field.n, self.coeffs))
+        return hash((self.field.n, self.num, self.den))
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     @property
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
+
+    def _cofactor(self) -> "CycNum":
+        """The product of the Galois conjugates of self under every
+        automorphism but the identity."""
+        n = self.field.n
+        out = self.field.one
+        for k in range(2, n + 1):
+            if gcd(k, n) == 1:
+                out = out * self.conjugate(k)
+        return out
 
     def inverse(self) -> "CycNum":
-        """Field inverse via the extended Euclidean algorithm mod Phi_n."""
+        """Field inverse: the other conjugates' product over the norm."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
-        mod = [Fraction(c) for c in self.field.poly]
-        a = list(self.coeffs)
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        # invariants: r0 = s0*self (mod Phi), r1 = s1*self (mod Phi)
-        r0, s0 = mod, [Fraction(0)]
-        r1, s1 = a, [Fraction(1)]
-        while True:
-            if len(r1) == 1:
-                inv = [c / r1[0] for c in s1]
-                return CycNum(self.field, self.field._reduce(inv))
-            q, r = _frac_poly_divmod(r0, r1)
-            s = _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-            r0, s0 = r1, s1
-            r1, s1 = r, s
-            assert len(r1) >= 1
+        cofactor = self._cofactor()
+        return cofactor * (1 / (self * cofactor).as_rational())
 
     def conjugate(self, k: int) -> "CycNum":
         """Apply the Galois automorphism zeta -> zeta^k (k coprime to n)."""
-        n = self.field.n
+        fld = self.field
+        n = fld.n
         if gcd(k, n) != 1:
             raise ValueError(f"{k} is not coprime to the conductor {n}")
-        out = [Fraction(0)] * self.field.degree
-        for i, c in enumerate(self.coeffs):
+        out = [0] * fld.degree
+        for i, c in enumerate(self.num):
             if c:
-                red = self.field._pow[(i * k) % n]
-                for j in range(self.field.degree):
-                    if red[j]:
-                        out[j] += c * red[j]
-        return CycNum(self.field, tuple(out))
+                for j, r in fld._pow[(i * k) % n]:
+                    out[j] += c * r
+        # an automorphism of Z[zeta] keeps the content of the numerators, so
+        # the denominator stays in lowest terms
+        return CycNum(fld, tuple(out), self.den)
 
     def norm_to_q(self) -> Fraction:
         """Product of all Galois conjugates; always a rational number."""
-        n = self.field.n
-        if n == 1:
-            return self.coeffs[0]
-        result = self.field.one
-        for k in range(1, n + 1):
-            if gcd(k, n) == 1:
-                result = result * self.conjugate(k)
+        if self.is_zero:
+            return Fraction(0)
+        result = self * self._cofactor()
         if not result.is_rational:
             raise AssertionError("norm did not land in Q")
         return result.as_rational()
@@ -291,45 +301,6 @@ class CycNum:
             else:
                 parts.append(f"{c}*z^{i}" if c != 1 else f"z^{i}")
         return " + ".join(parts)
-
-
-def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    if len(num) - 1 < dd:
-        return [Fraction(0)], num
-    quot = [Fraction(0)] * (len(num) - dd)
-    for shift in range(len(num) - 1 - dd, -1, -1):
-        c = num[shift + dd] / lead
-        quot[shift] = c
-        if c:
-            for i, dc in enumerate(den):
-                num[shift + i] -= c * dc
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def root_of_unity(n: int, k: int) -> CycNum:

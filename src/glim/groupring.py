@@ -263,8 +263,8 @@ class _CoordSystem:
         for g in self.elements:
             col: list[int] = []
             for o in orbits:
-                val = fld.zeta(o.representative.value_exponent(g))
-                col.extend(int(c) for c in val.coeffs)
+                # a root of unity has denominator 1
+                col.extend(fld.zeta(o.representative.value_exponent(g)).num)
             cols.append(col)
         self.nrows = len(cols[0]) if cols else 0
         self.rows = [[cols[c][r] for c in range(len(cols))] for r in range(self.nrows)]
@@ -273,10 +273,9 @@ class _CoordSystem:
         """Stacked coordinates of the target; None when not integral."""
         vec: list[int] = []
         for v in target.values:
-            for c in v.coeffs:
-                if c.denominator != 1:
-                    return None
-                vec.append(int(c))
+            if v.den != 1:
+                return None
+            vec.extend(v.num)
         return vec
 
     def combine(self, coeffs: list[int]) -> GroupRingElem:

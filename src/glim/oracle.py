@@ -123,7 +123,7 @@ class _Echelon:
             return combo if tracked else {}
         piv = min(red)
         lead = red[piv]
-        if not (lead.is_rational and lead.as_rational() == 1):
+        if lead != lead.field.one:
             inv = lead.inverse()
             red = _vec_scale(red, inv)
             if tracked:
@@ -147,15 +147,15 @@ class _Echelon:
 
 
 def _root_exponents(fld) -> dict:
-    """Every root of unity of the field, keyed by coefficients, with its
-    exponent over a generator of the cyclic group they form (for odd n,
+    """Every root of unity of the field, keyed by itself, with its exponent
+    over a generator of the cyclic group they form (for odd n,
     -zeta^((n+1)/2) generates the 2n-th roots of unity)."""
     n = fld.n
     gen = fld.zeta(1) if n % 2 == 0 else -fld.zeta((n + 1) // 2)
     out: dict = {}
     root = fld.one
-    while root.coeffs not in out:
-        out[root.coeffs] = len(out)
+    while root not in out:
+        out[root] = len(out)
         root = root * gen
     return out
 
@@ -209,34 +209,38 @@ class FiniteGradedAlgebra:
 
     def _check_associativity(self):
         """Exact check on all basis triples.  A product e_i e_j = zeta^a e_t
-        is the integer pair (t, a), so each bracketing of a triple is zero or
-        an index with an exponent mod the order m of the roots of unity."""
+        is the integer t*m + a, with m the order of the roots of unity, and
+        -1 for a zero product; (e_i e_j) e_k and e_i (e_j e_k) must be equal
+        integers for every k."""
         exponents = _root_exponents(self.field)
         m = len(exponents)
-        mono = {}
-        for ij, cell in self.table.items():
+        dim = self.dim
+        # prod[i][j] encodes e_i e_j; the extra last row and column stay -1,
+        # so a zero product used as an index reads zero again
+        prod = [[-1] * (dim + 1) for _ in range(dim + 1)]
+        for (i, j), cell in self.table.items():
             ((t, c),) = cell.items()
-            if c.coeffs not in exponents:
+            a = exponents.get(c)
+            if a is None:
                 raise ValueError("structure constant is not a root of unity")
-            mono[ij] = (t, exponents[c.coeffs])
-        basis = range(self.dim)
-        for i in basis:
-            for j in basis:
-                ij = mono.get((i, j))
-                for k in basis:
-                    jk = mono.get((j, k))
-                    left = mono.get((ij[0], k)) if ij else None
-                    right = mono.get((i, jk[0])) if jk else None
-                    if left is None or right is None:
-                        ok = left is right
-                    else:
-                        ok = left[0] == right[0] and (
-                            ij[1] + left[1] - jk[1] - right[1]
-                        ) % m == 0
-                    if not ok:
-                        raise ValueError(
-                            f"associativity fails on basis triple ({i},{j},{k})"
-                        )
+            prod[i][j] = t * m + a
+        # shift[a][code] multiplies the product a code encodes by zeta^a
+        codes = range(dim * m)
+        shift = [[c - c % m + (c + a) % m for c in codes] + [-1] for a in range(m)]
+        # code = t*m + b as the pair (t, shift[b]); -1 gives (-1, shift[m - 1])
+        split = [[(c // m, shift[c % m]) for c in row] for row in prod]
+        for i in range(dim):
+            row_i = prod[i]
+            for j in range(dim):
+                # (e_i e_j) e_k = zeta^a e_t e_k; e_i (e_j e_k) = zeta^b e_i e_u
+                t, by_a = split[i][j]
+                left = [by_a[c] for c in prod[t]]
+                right = [by_b[row_i[u]] for u, by_b in split[j]]
+                if left != right:
+                    k = next(k for k in range(dim) if left[k] != right[k])
+                    raise ValueError(
+                        f"associativity fails on basis triple ({i},{j},{k})"
+                    )
 
     def mul(self, u: Vec, v: Vec) -> Vec:
         out: Vec = {}
@@ -631,11 +635,20 @@ def _root_candidates(field, coeffs: list[CycNum]):
 
 
 def _divisors(v: int) -> list[int]:
+    """The positive divisors of |v| in ascending order ([1] for 0), found in
+    pairs up to the square root."""
     v = abs(v)
     if v == 0:
         return [1]
-    out = [d for d in range(1, v + 1) if v % d == 0]
-    return out
+    low, high = [], []
+    d = 1
+    while d * d <= v:
+        if v % d == 0:
+            low.append(d)
+            if d * d != v:
+                high.append(v // d)
+        d += 1
+    return low + high[::-1]
 
 
 def _min_poly(endo: _Endo, w: Vec, cap: int) -> list[CycNum]:
@@ -701,9 +714,9 @@ def _find_zero_divisor(endo: _Endo) -> Vec | None:
             continue
         seen: set = set()
         for root in _root_candidates(field, p):
-            if root.coeffs in seen:
+            if root in seen:
                 continue
-            seen.add(root.coeffs)
+            seen.add(root)
             val = field.zero
             for c in reversed(p):
                 val = val * root + c

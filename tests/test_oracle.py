@@ -200,6 +200,29 @@ def test_perturbed_constant_fails_associativity():
         _with_cell(alg, lambda cell: {k: c * zeta for k, c in cell.items()})
 
 
+def test_perturbed_constant_in_dimension_64_names_the_first_failing_triple():
+    g = group_new([4, 4])
+    classes = enumerate_division_classes(g)
+    big = next(c for c in classes if c.support.order == 16)
+    small = next(c for c in classes if c.support.order == 4)
+    alg = tensor(build_twisted(big.bichar), build_twisted(small.bichar))
+    assert alg.dim == 64
+    zeta = alg.field.zeta(1)
+    table = dict(alg.table)
+    table[(5, 9)] = {k: c * zeta for k, c in table[(5, 9)].items()}
+    with pytest.raises(ValueError, match=r"associativity fails on basis triple \(1,4,9\)$"):
+        FiniteGradedAlgebra(alg.group, alg.degrees, table, alg.unit)
+
+
+def test_product_zero_in_one_bracketing_only_fails_associativity(klein_full):
+    alg = build_twisted(Bicharacter.trivial(klein_full))
+    table = dict(alg.table)
+    # e1 e2 = 0 while e1 e1 = e0: (e1 e1) e2 = e2 but e1 (e1 e2) = 0
+    del table[(1, 2)]
+    with pytest.raises(ValueError, match=r"associativity fails on basis triple \(1,1,2\)$"):
+        FiniteGradedAlgebra(alg.group, alg.degrees, table, alg.unit)
+
+
 def test_cell_with_two_entries_is_rejected():
     alg = _twisted_z42()
     with pytest.raises(ValueError, match="one nonzero entry"):
