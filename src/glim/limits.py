@@ -757,6 +757,16 @@ def iso_general(
 # certificate replay
 
 
+def _named_orbit(k0: K0Descriptor, cert: dict) -> int | None:
+    """The index in ``k0.orbits`` of the orbit a certificate names, or None
+    when no orbit has that representative."""
+    rep = tuple(cert["orbit"]["rep"])
+    return next(
+        (i for i, o in enumerate(k0.orbits) if o.representative.exponents == rep),
+        None,
+    )
+
+
 def verify_member_certificate(
     k0: K0Descriptor, z: ProjCoords, verdict: str, cert: dict
 ) -> bool:
@@ -782,13 +792,10 @@ def verify_member_certificate(
         if kind == "irrational-trivial-coordinate":
             return not z.values[0].is_rational
         if kind == "norm-obstruction":
-            rep = tuple(cert["orbit"]["rep"])
             p = cert["prime"]
-            idx = next(
-                i
-                for i, o in enumerate(k0.orbits)
-                if o.representative.exponents == rep
-            )
+            idx = _named_orbit(k0, cert)
+            if idx is None:
+                return False
             val = z.values[idx]
             if val.is_zero:
                 return False
@@ -805,13 +812,12 @@ def verify_scaling_certificate(
 ) -> bool:
     kind = cert.get("kind")
     if kind == "support-deficit":
-        rep = tuple(cert["orbit"]["rep"])
-        orbit = next(
-            (o for o in k0.orbits if o.representative.exponents == rep), None
+        idx = _named_orbit(k0, cert)
+        return (
+            verdict == "no"
+            and idx is not None
+            and k0.orbits[idx] not in supp_orbits(c)
         )
-        if orbit is None:
-            return False
-        return verdict == "no" and orbit not in supp_orbits(c)
     if kind != "scaling":
         return False
     if payload_elem(k0.group, cert["scaler"]) != c:
@@ -834,15 +840,12 @@ def verify_absorbs_k0_certificate(
     kind = cert.get("kind")
     if kind == "support-obstruction":
         t = k0.group.element(tuple(cert["element"]))
-        rep = tuple(cert["orbit"]["rep"])
-        orbit = next(
-            (o for o in k0.orbits if o.representative.exponents == rep), None
-        )
+        idx = _named_orbit(k0, cert)
         return (
             verdict == "no"
-            and orbit is not None
+            and idx is not None
             and t in d_class.support
-            and orbit.representative.value_exponent(t) != 0
+            and k0.orbits[idx].representative.value_exponent(t) != 0
         )
     if kind != "absorption":
         return False

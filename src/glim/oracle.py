@@ -146,18 +146,18 @@ class _Echelon:
         return len(self.rows)
 
 
-def _root_exponents(fld) -> dict:
-    """Every root of unity of the field, keyed by itself, with its exponent
-    over a generator of the cyclic group they form (for odd n,
-    -zeta^((n+1)/2) generates the 2n-th roots of unity)."""
+def _roots(fld) -> tuple:
+    """Every root of unity of the field as powers r^0, r^1, ... of one
+    generator r (for odd n, -zeta^((n+1)/2) generates the 2n-th roots of
+    unity)."""
     n = fld.n
     gen = fld.zeta(1) if n % 2 == 0 else -fld.zeta((n + 1) // 2)
-    out: dict = {}
-    root = fld.one
-    while root not in out:
-        out[root] = len(out)
+    out = [fld.one]
+    root = gen
+    while root != fld.one:
+        out.append(root)
         root = root * gen
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +165,13 @@ def _root_exponents(fld) -> dict:
 
 
 class FiniteGradedAlgebra:
-    """A finite-dimensional graded algebra by structure constants.
+    """A finite-dimensional graded algebra by monomial structure constants.
 
-    ``table[(i, j)]`` maps output index k to the coefficient of basis_k in
-    basis_i * basis_j; missing pairs multiply to zero.  The table must be
-    monomial: every stored cell holds exactly one nonzero entry.  Grading
-    compatibility is checked on construction; up to dimension 64 every
-    constant must also be a root of unity, and associativity is checked
-    exactly on all basis triples.
+    ``table[(i, j)] = (k, e)`` means basis_i * basis_j = r^e * basis_k, with
+    ``roots[e] = r^e`` the roots of unity of the field; missing pairs multiply
+    to zero.  Indices, exponents and grading compatibility are checked on
+    construction; up to dimension 64 associativity is also checked exactly on
+    all basis triples.
     """
 
     def __init__(
@@ -189,15 +188,14 @@ class FiniteGradedAlgebra:
         self.table = table
         self.unit = dict(unit)
         self.field = get_field(oracle_conductor(group))
+        self.roots = _roots(self.field)
         if generators is None:
             generators = tuple({i: self.field.one} for i in range(self.dim))
         self.generators = tuple(dict(g) for g in generators)
-        for (i, j), cell in table.items():
-            if len(cell) != 1 or next(iter(cell.values())).is_zero:
-                raise ValueError(
-                    "a structure-constant cell must hold one nonzero entry"
-                )
-            (k,) = cell
+        m = len(self.roots)
+        for (i, j), (k, e) in table.items():
+            if not (0 <= k < self.dim and 0 <= e < m):
+                raise ValueError("structure-constant cell out of range")
             if degrees[k] != degrees[i] * degrees[j]:
                 raise ValueError("structure constants violate the grading")
         for i in range(self.dim):
@@ -208,23 +206,18 @@ class FiniteGradedAlgebra:
             self._check_associativity()
 
     def _check_associativity(self):
-        """Exact check on all basis triples.  A product e_i e_j = zeta^a e_t
-        is the integer t*m + a, with m the order of the roots of unity, and
-        -1 for a zero product; (e_i e_j) e_k and e_i (e_j e_k) must be equal
+        """Exact check on all basis triples.  A product e_i e_j = r^a e_t is
+        the integer t*m + a, with m the order of the roots of unity, and -1
+        for a zero product; (e_i e_j) e_k and e_i (e_j e_k) must be equal
         integers for every k."""
-        exponents = _root_exponents(self.field)
-        m = len(exponents)
+        m = len(self.roots)
         dim = self.dim
         # prod[i][j] encodes e_i e_j; the extra last row and column stay -1,
         # so a zero product used as an index reads zero again
         prod = [[-1] * (dim + 1) for _ in range(dim + 1)]
-        for (i, j), cell in self.table.items():
-            ((t, c),) = cell.items()
-            a = exponents.get(c)
-            if a is None:
-                raise ValueError("structure constant is not a root of unity")
+        for (i, j), (t, a) in self.table.items():
             prod[i][j] = t * m + a
-        # shift[a][code] multiplies the product a code encodes by zeta^a
+        # shift[a][code] multiplies the product a code encodes by r^a
         codes = range(dim * m)
         shift = [[c - c % m + (c + a) % m for c in codes] + [-1] for a in range(m)]
         # code = t*m + b as the pair (t, shift[b]); -1 gives (-1, shift[m - 1])
@@ -232,7 +225,7 @@ class FiniteGradedAlgebra:
         for i in range(dim):
             row_i = prod[i]
             for j in range(dim):
-                # (e_i e_j) e_k = zeta^a e_t e_k; e_i (e_j e_k) = zeta^b e_i e_u
+                # (e_i e_j) e_k = r^a e_t e_k; e_i (e_j e_k) = r^b e_i e_u
                 t, by_a = split[i][j]
                 left = [by_a[c] for c in prod[t]]
                 right = [by_b[row_i[u]] for u, by_b in split[j]]
@@ -242,13 +235,25 @@ class FiniteGradedAlgebra:
                         f"associativity fails on basis triple ({i},{j},{k})"
                     )
 
+    def _add_term(self, out: Vec, k: int, e: int, c: CycNum) -> None:
+        """out += c * r^e * basis_k."""
+        if e:
+            c = c * self.roots[e]
+        nv = out.get(k)
+        if nv is not None:
+            c = nv + c
+            if c.is_zero:
+                del out[k]
+                return
+        out[k] = c
+
     def mul(self, u: Vec, v: Vec) -> Vec:
         out: Vec = {}
         for i, a in u.items():
             for j, b in v.items():
                 cell = self.table.get((i, j))
                 if cell:
-                    _vec_add_scaled(out, cell, a * b)
+                    self._add_term(out, *cell, a * b)
         return out
 
     def mul_basis(self, i: int, v: Vec) -> Vec:
@@ -256,7 +261,7 @@ class FiniteGradedAlgebra:
         for j, b in v.items():
             cell = self.table.get((i, j))
             if cell:
-                _vec_add_scaled(out, cell, b)
+                self._add_term(out, *cell, b)
         return out
 
     def vec_degree(self, v: Vec) -> GroupElem | None:
@@ -284,7 +289,7 @@ class FiniteGradedAlgebra:
             if not cell:
                 ok = False
                 break
-            k = next(iter(cell))
+            k = cell[0]
             if k in seen:
                 ok = False
                 break
@@ -320,9 +325,8 @@ def build_twisted(bichar: Bicharacter) -> FiniteGradedAlgebra:
     sub = bichar.subgroup
     G = sub.parent
     n = G.exponent
-    big = oracle_conductor(G)
-    fld = get_field(big)
-    scale = big // n
+    fld = get_field(oracle_conductor(G))
+    # the field's roots of unity are the 2n-th ones, so zeta_n = r^2
     gens, orders, coords = subgroup_basis(sub)
     elems = sub.sorted_elements()
     index = {g: i for i, g in enumerate(elems)}
@@ -340,7 +344,7 @@ def build_twisted(bichar: Bicharacter) -> FiniteGradedAlgebra:
     for s in elems:
         for t in elems:
             exp = cocycle_exp(coords[s], coords[t])
-            table[(index[s], index[t])] = {index[s * t]: fld.zeta(exp * scale)}
+            table[(index[s], index[t])] = (index[s * t], 2 * exp)
     unit = {index[G.identity]: fld.one}
     gen_vecs = tuple({index[g]: fld.one} for g in gens) or (dict(unit),)
     if len(elems) > _dim_cap():
@@ -359,11 +363,11 @@ def _as_bichar(division) -> Bicharacter | None:
 
 
 def build_matrix(x: GroupRingElem, division=None) -> FiniteGradedAlgebra:
-    """M_x over the base field or over a graded-division algebra.
+    """M_x over the base field or over a graded-division algebra D.
 
-    Basis elements are matrix units tagged with a homogeneous division-algebra
-    element; deg E_pq(d) = gamma_p * deg(d) * gamma_q^{-1} for the tuple gamma
-    realizing the multiset x.
+    The matrix units E_pq multiply as E_pq E_qr = E_pr and have degree
+    gamma_p * gamma_q^{-1} for the tuple gamma realizing the multiset x; over
+    D the algebra is their tensor product with D.
     """
     if x.is_zero:
         raise ValueError("matrix multiset must be nonzero")
@@ -371,55 +375,31 @@ def build_matrix(x: GroupRingElem, division=None) -> FiniteGradedAlgebra:
         raise ValueError("matrix multiset must be a nonnegative integer element")
     G = x.group
     bichar = _as_bichar(division)
-    inner = build_twisted(bichar) if bichar is not None else None
     gamma: list[GroupElem] = []
     for g, c in x.coeffs:
         gamma.extend([g] * int(c))
     size = len(gamma)
-    inner_dim = inner.dim if inner else 1
-    dim = size * size * inner_dim
-    if dim > _dim_cap():
+    inner_dim = bichar.subgroup.order if bichar is not None else 1
+    if size * size * inner_dim > _dim_cap():
         raise ValueError("dimension cap exceeded")
     fld = get_field(oracle_conductor(G))
-
-    def idx(p: int, q: int, t: int) -> int:
-        return (p * size + q) * inner_dim + t
-
-    degrees = []
-    for p in range(size):
-        for q in range(size):
-            for t in range(inner_dim):
-                d = inner.degrees[t] if inner else G.identity
-                degrees.append(gamma[p] * d * gamma[q].inverse())
-    table: dict = {}
-    for p in range(size):
-        for q in range(size):
-            for r in range(size):
-                for s in range(inner_dim):
-                    for t in range(inner_dim):
-                        if inner:
-                            cell = inner.table.get((s, t), {})
-                            out = {
-                                idx(p, r, k): c for k, c in cell.items()
-                            }
-                        else:
-                            out = {idx(p, r, 0): fld.one}
-                        table[(idx(p, q, s), idx(q, r, t))] = out
-    unit: Vec = {}
-    unit_inner = inner.unit if inner else {0: fld.one}
-    for p in range(size):
-        for t, c in unit_inner.items():
-            unit[idx(p, p, t)] = c
-    gens: list[Vec] = []
-    for p in range(size - 1):
-        gens.append({idx(p, p + 1, t): c for t, c in unit_inner.items()})
-        gens.append({idx(p + 1, p, t): c for t, c in unit_inner.items()})
-    if inner:
-        for gvec in inner.generators:
-            gens.append({idx(0, 0, t): c for t, c in gvec.items()})
-    if not gens:
-        gens = [dict(unit)]
-    return FiniteGradedAlgebra(G, tuple(degrees), table, unit, generators=tuple(gens))
+    degrees = tuple(gp * gq.inverse() for gp in gamma for gq in gamma)
+    table = {
+        (p * size + q, q * size + r): (p * size + r, 0)
+        for p in range(size)
+        for q in range(size)
+        for r in range(size)
+    }
+    unit = {p * size + p: fld.one for p in range(size)}
+    gens = [
+        {i: fld.one}
+        for p in range(size - 1)
+        for i in (p * size + p + 1, (p + 1) * size + p)
+    ]
+    units = FiniteGradedAlgebra(G, degrees, table, unit, generators=gens or [unit])
+    if bichar is None:
+        return units
+    return tensor(units, build_twisted(bichar))
 
 
 def tensor(a: FiniteGradedAlgebra, b: FiniteGradedAlgebra) -> FiniteGradedAlgebra:
@@ -429,36 +409,19 @@ def tensor(a: FiniteGradedAlgebra, b: FiniteGradedAlgebra) -> FiniteGradedAlgebr
     dim = a.dim * b.dim
     if dim > _dim_cap():
         raise ValueError("dimension cap exceeded")
-
-    def idx(i: int, j: int) -> int:
-        return i * b.dim + j
-
-    degrees = tuple(
-        a.degrees[i] * b.degrees[j] for i in range(a.dim) for j in range(b.dim)
-    )
-    table: dict = {}
-    for (i1, j1), cell_a in a.table.items():
-        for (i2, j2), cell_b in b.table.items():
-            out = {}
-            for k1, c1 in cell_a.items():
-                for k2, c2 in cell_b.items():
-                    v = c1 * c2
-                    if not v.is_zero:
-                        out[idx(k1, k2)] = v
-            if out:
-                table[(idx(i1, i2), idx(j1, j2))] = out
-    unit: Vec = {}
-    for i, c1 in a.unit.items():
-        for j, c2 in b.unit.items():
-            unit[idx(i, j)] = c1 * c2
+    bd = b.dim
+    m = len(a.roots)
+    degrees = tuple(da * db for da in a.degrees for db in b.degrees)
+    table = {
+        (i1 * bd + i2, j1 * bd + j2): (k1 * bd + k2, (e1 + e2) % m)
+        for (i1, j1), (k1, e1) in a.table.items()
+        for (i2, j2), (k2, e2) in b.table.items()
+    }
 
     def embed(u: Vec, v: Vec) -> Vec:
-        out: Vec = {}
-        for i, c1 in u.items():
-            for j, c2 in v.items():
-                out[idx(i, j)] = c1 * c2
-        return out
+        return {i * bd + j: c1 * c2 for i, c1 in u.items() for j, c2 in v.items()}
 
+    unit = embed(a.unit, b.unit)
     gens = [embed(g, b.unit) for g in a.generators]
     gens += [embed(a.unit, g) for g in b.generators]
     return FiniteGradedAlgebra(a.group, degrees, table, unit, generators=tuple(gens))
@@ -466,7 +429,7 @@ def tensor(a: FiniteGradedAlgebra, b: FiniteGradedAlgebra) -> FiniteGradedAlgebr
 
 def opposite(a: FiniteGradedAlgebra) -> FiniteGradedAlgebra:
     """The opposite algebra with the same grading."""
-    table = {(j, i): dict(cell) for (i, j), cell in a.table.items()}
+    table = {(j, i): cell for (i, j), cell in a.table.items()}
     return FiniteGradedAlgebra(
         a.group, a.degrees, table, a.unit, generators=a.generators
     )
@@ -853,13 +816,7 @@ def graded_simple_decompose(a: FiniteGradedAlgebra) -> WedderburnInvariant:
 
 def graded_iso_finite(a: FiniteGradedAlgebra, b: FiniteGradedAlgebra) -> bool:
     """Graded isomorphism of central simple graded algebras via invariants."""
-    inv_a = graded_simple_decompose(a)
-    inv_b = graded_simple_decompose(b)
-    return (
-        inv_a.support.elements == inv_b.support.elements
-        and inv_a.bichar == inv_b.bichar
-        and inv_a.coset_multiset == inv_b.coset_multiset
-    )
+    return graded_simple_decompose(a) == graded_simple_decompose(b)
 
 
 # ---------------------------------------------------------------------------
@@ -898,13 +855,7 @@ def cross_validate_group(group: FinAbGroup) -> list[str]:
     classes = enumerate_division_classes(group)
     for d1 in classes:
         for d2 in classes:
-            want = expected_tensor_invariant(d1, d2)
-            got = observed_tensor_invariant(d1, d2)
-            if (
-                want.support.elements != got.support.elements
-                or want.bichar != got.bichar
-                or want.coset_multiset != got.coset_multiset
-            ):
+            if expected_tensor_invariant(d1, d2) != observed_tensor_invariant(d1, d2):
                 failures.append(
                     f"{group}: class pair "
                     f"(T order {d1.support.order}, T order {d2.support.order}) "

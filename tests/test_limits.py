@@ -244,6 +244,28 @@ def test_absorbs_examples(klein, pauli, x_t):
     assert absorbs(a, triv, 8).verdict == "yes"
 
 
+def _with_rep(cert: dict, rep: list) -> dict:
+    return {**cert, "orbit": {**cert["orbit"], "rep": rep}}
+
+
+def test_certificate_naming_an_unknown_orbit_does_not_replay(trivial_group, klein, pauli, x_t):
+    kt = k0_realization(uhf(trivial_group, 2))
+    third = ProjCoords(trivial_group, kt.orbits, (get_field(1).scalar(Fraction(1, 3)),))
+    r = in_k_group(kt, third, 8)
+    assert r.certificate["kind"] == "norm-obstruction"
+    assert not verify_member_certificate(kt, third, "no", _with_rep(r.certificate, [5]))
+
+    a = LimitDescriptor(klein, const(klein, 2), (), (const(klein, 2),))
+    k = k0_realization(a)
+    r = scaling_invertible(k, x_t, 4)
+    assert r.certificate["kind"] == "support-deficit"
+    assert not verify_scaling_certificate(k, x_t, "no", _with_rep(r.certificate, [5, 5]))
+
+    r = absorbs(a, pauli, 8)
+    assert r.certificate["kind"] == "support-obstruction"
+    assert not verify_absorbs_certificate(a, pauli, "no", _with_rep(r.certificate, [5, 5]))
+
+
 # ---------------------------------------------------------------------------
 # isomorphism procedures
 

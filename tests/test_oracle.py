@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
-from glim.abelian import group_new, subgroup_from_generators
+from glim.abelian import group_new, quotient, subgroup_from_generators
 from glim.cyclotomic import get_field
 from glim.divalg import Bicharacter, DivisionClass, enumerate_division_classes
 from glim.groupring import GroupRingElem
@@ -18,6 +19,7 @@ from glim.oracle import (
     graded_iso_finite,
     graded_simple_decompose,
     is_central_simple,
+    normalize_coset_multiset,
     observed_tensor_invariant,
     opposite,
     round_trip_failures,
@@ -77,6 +79,22 @@ def test_build_matrix_examples(klein, pauli, x_t):
     assert mxt.dim == 16
 
 
+@pytest.mark.parametrize("factors", [(2, 2), (4, 2), (3, 3)])
+def test_build_matrix_over_division_classes(factors):
+    g = group_new(list(factors))
+    for cls in enumerate_division_classes(g):
+        qgroup, alpha = quotient(g, cls.support)
+        for gen in (g.element((1, 0)), g.element((0, 1))):
+            x = GroupRingElem.from_dict(g, {g.identity: 1, gen: 1})
+            alg = build_matrix(x, cls)
+            assert alg.dim == 4 * cls.support.order
+            inv = graded_simple_decompose(alg)
+            assert inv.support == cls.support
+            assert inv.bichar == cls.bichar
+            cosets = Counter([alpha(g.identity), alpha(gen)])
+            assert inv.coset_multiset == normalize_coset_multiset(qgroup, cosets)
+
+
 def test_tensor_examples(klein, pauli, x_t):
     p = build_twisted(pauli.bichar)
     pp = tensor(p, p)
@@ -100,10 +118,9 @@ def test_tensor_dimension_cap(monkeypatch, klein, pauli):
 def test_tensor_degree_rule(klein, pauli):
     p = build_twisted(pauli.bichar)
     t = tensor(p, p)
-    for (i, j), cell in t.table.items():
-        for k, c in cell.items():
-            if not c.is_zero:
-                assert t.degrees[k] == t.degrees[i] * t.degrees[j]
+    for (i, j), (k, e) in t.table.items():
+        assert 0 <= e < len(t.roots)
+        assert t.degrees[k] == t.degrees[i] * t.degrees[j]
 
 
 def test_decompose_examples(klein, pauli, x_t):
@@ -193,11 +210,16 @@ def _with_cell(alg, cell_of):
     return FiniteGradedAlgebra(alg.group, alg.degrees, table, alg.unit)
 
 
+def _times_r(alg, cell):
+    """The cell multiplied by the generator r of the roots of unity."""
+    k, e = cell
+    return k, (e + 1) % len(alg.roots)
+
+
 def test_perturbed_constant_fails_associativity():
     alg = _twisted_z42()
-    zeta = alg.field.zeta(1)
     with pytest.raises(ValueError, match="associativity fails"):
-        _with_cell(alg, lambda cell: {k: c * zeta for k, c in cell.items()})
+        _with_cell(alg, lambda cell: _times_r(alg, cell))
 
 
 def test_perturbed_constant_in_dimension_64_names_the_first_failing_triple():
@@ -207,9 +229,8 @@ def test_perturbed_constant_in_dimension_64_names_the_first_failing_triple():
     small = next(c for c in classes if c.support.order == 4)
     alg = tensor(build_twisted(big.bichar), build_twisted(small.bichar))
     assert alg.dim == 64
-    zeta = alg.field.zeta(1)
     table = dict(alg.table)
-    table[(5, 9)] = {k: c * zeta for k, c in table[(5, 9)].items()}
+    table[(5, 9)] = _times_r(alg, table[(5, 9)])
     with pytest.raises(ValueError, match=r"associativity fails on basis triple \(1,4,9\)$"):
         FiniteGradedAlgebra(alg.group, alg.degrees, table, alg.unit)
 
@@ -223,16 +244,18 @@ def test_product_zero_in_one_bracketing_only_fails_associativity(klein_full):
         FiniteGradedAlgebra(alg.group, alg.degrees, table, alg.unit)
 
 
-def test_cell_with_two_entries_is_rejected():
+def test_cell_with_index_out_of_range_is_rejected():
     alg = _twisted_z42()
-    with pytest.raises(ValueError, match="one nonzero entry"):
-        _with_cell(alg, lambda cell: {**cell, 0: alg.field.one})
+    for bad_index in (-1, alg.dim):
+        with pytest.raises(ValueError, match="cell out of range"):
+            _with_cell(alg, lambda cell: (bad_index, cell[1]))
 
 
-def test_constant_off_the_roots_of_unity_is_rejected():
+def test_cell_with_exponent_out_of_range_is_rejected():
     alg = _twisted_z42()
-    with pytest.raises(ValueError, match="not a root of unity"):
-        _with_cell(alg, lambda cell: {k: c * 2 for k, c in cell.items()})
+    for bad_exponent in (-1, len(alg.roots)):
+        with pytest.raises(ValueError, match="cell out of range"):
+            _with_cell(alg, lambda cell: (cell[0], bad_exponent))
 
 
 # ---------------------------------------------------------------------------
