@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 
 from .abelian import (
@@ -179,24 +180,29 @@ def standard_form(d: LimitDescriptor) -> LimitDescriptor:
     support condition holds, and the cycle is merged into the product over one
     period (a cofinal subsequence, so the limit is unchanged).
     """
+    x0, cycle_product, _S, _S0 = _standard(d)
+    return LimitDescriptor(d.group, x0, (), (cycle_product,), d.division)
+
+
+def _standard(d: LimitDescriptor):
+    """The standard-form pass: (x0, cycle product, S, S0), where S is the
+    support of the cycle product and S0, contained in S, that of x0."""
     cycle_product = prod(d.cycle, start=GroupRingElem.one(d.group))
     S = supp_orbits(cycle_product)
-    x0 = d.x0
-    for a in d.prefix:
-        x0 = x0 * a
+    x0 = prod(d.prefix, start=d.x0)
     absorbed = 0
-    while not supp_orbits(x0) <= S:
+    while not (s0 := supp_orbits(x0)) <= S:
         x0 = x0 * d.cycle[absorbed % len(d.cycle)]
         absorbed += 1
         if absorbed > len(d.cycle):
             raise AssertionError("support did not stabilize within one period")
-    return LimitDescriptor(d.group, x0, (), (cycle_product,), d.division)
+    return x0, cycle_product, S, s0
 
 
 def support_invariants(d: LimitDescriptor):
     """The invariants (S, S0) of the elementary part."""
-    sf = standard_form(d.elementary_part())
-    return supp_orbits(sf.cycle[0]), supp_orbits(sf.x0)
+    _x0, _cycle, S, s0 = _standard(d.elementary_part())
+    return S, s0
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +219,14 @@ class K0Descriptor:
     x0_bar: GroupRingElem
     cycle_bar: GroupRingElem
 
-    @property
+    @cached_property
     def order_unit(self) -> ProjCoords:
         return project(self.x0_bar, self.orbits)
 
-    @property
-    def denom_cycle(self) -> tuple[ProjCoords, ...]:
-        return (project(self.cycle_bar, self.orbits),)
+    @cached_property
+    def cycle(self) -> ProjCoords:
+        """pi(cycle_bar) on S; pi is a ring map, so the denominators are its powers."""
+        return project(self.cycle_bar, self.orbits)
 
     @property
     def S(self) -> frozenset[CharOrbit]:
@@ -229,17 +236,12 @@ class K0Descriptor:
         return project(GroupRingElem.one(self.group), self.orbits)
 
     def denominators(self, budget: int):
-        """Unrolled denominator elements b_i = cycle_bar^i, i = 1..budget."""
-        running = GroupRingElem.one(self.group)
+        """Coordinates of the unrolled denominators cycle^i, i = 1..budget."""
+        power = self.cycle
         for i in range(1, budget + 1):
-            running = running * self.cycle_bar
-            yield i, running
-
-    def denominator_at(self, index: int) -> GroupRingElem:
-        for i, b in self.denominators(index):
-            if i == index:
-                return b
-        raise ValueError(f"denominator index {index} out of range")
+            if i > 1:
+                power = power * self.cycle
+            yield i, power
 
 
 def k0_realization(d: LimitDescriptor) -> K0Descriptor:
@@ -248,25 +250,15 @@ def k0_realization(d: LimitDescriptor) -> K0Descriptor:
     With a division part of support T the realization is computed over G/T
     through the coefficient-collapsing pushforward.
     """
-    base = d
     if d.division is not None and not d.division.is_trivial:
         base = quotient_pushforward(d.elementary_part(), d.division.support)
     else:
         base = d.elementary_part()
-    sf = standard_form(base)
-    S = canonical_orbits(sf.group, supp_orbits(sf.cycle[0]))
-    s0 = supp_orbits(sf.x0)
-    assert s0 <= set(S)
-    assert S and S[0].is_trivial, "the trivial orbit is always in S"
-    denom = project(sf.cycle[0].bar(), S)
-    assert not any(v.is_zero for v in denom.values), "denominator vanishes on S"
-    return K0Descriptor(
-        group=sf.group,
-        orbits=S,
-        s0=frozenset(s0),
-        x0_bar=sf.x0.bar(),
-        cycle_bar=sf.cycle[0].bar(),
-    )
+    x0, cycle_product, S, s0 = _standard(base)
+    orbits = canonical_orbits(base.group, S)
+    assert orbits[0].is_trivial, "the trivial orbit is always in S"
+    # the bar conjugates every character value, so the cycle vanishes nowhere on S
+    return K0Descriptor(base.group, orbits, s0, x0.bar(), cycle_product.bar())
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +281,7 @@ def _valuation(q: Fraction, p: int) -> int:
 
 def _norm_obstruction(k0: K0Descriptor, z: ProjCoords) -> dict | None:
     """Denominator primes of a coordinate norm that the cycle can never clear."""
-    cyc = project(k0.cycle_bar, k0.orbits)
+    cyc = k0.cycle
     for j, orbit in enumerate(k0.orbits):
         val = z.values[j]
         if val.is_zero:
@@ -315,21 +307,21 @@ def _norm_obstruction(k0: K0Descriptor, z: ProjCoords) -> dict | None:
     return None
 
 
-def in_k_group(k0: K0Descriptor, z: ProjCoords, budget: int = DEFAULT_BUDGET) -> TriBool:
-    """Membership of a coordinate vector in the realized K group."""
-    if z.orbits != k0.orbits:
-        raise ValueError("coordinates over the wrong orbit set")
+def _member_search(k0: K0Descriptor, z: ProjCoords, budget: int, cone: bool) -> TriBool:
+    """Search the denominators for an integral (cone: nonnegative) preimage
+    of z times cycle^i; when none turns up, try the norm obstruction."""
     if z.is_zero:
         return TriBool.yes(
-            {"kind": "member-witness", "cone": False, "index": 1, "witness": []}
+            {"kind": "member-witness", "cone": cone, "index": 1, "witness": []}
         )
+    preimage = cone_preimage if cone else lattice_preimage
     for i, b in k0.denominators(budget):
-        w = lattice_preimage(z * project(b, k0.orbits))
+        w = preimage(z * b)
         if w is not None:
             return TriBool.yes(
                 {
                     "kind": "member-witness",
-                    "cone": False,
+                    "cone": cone,
                     "index": i,
                     "witness": elem_payload(w),
                 }
@@ -338,6 +330,13 @@ def in_k_group(k0: K0Descriptor, z: ProjCoords, budget: int = DEFAULT_BUDGET) ->
     if obstruction is not None:
         return TriBool.no(obstruction)
     return TriBool.unknown({"kind": "budget-exhausted", "budget": budget})
+
+
+def in_k_group(k0: K0Descriptor, z: ProjCoords, budget: int = DEFAULT_BUDGET) -> TriBool:
+    """Membership of a coordinate vector in the realized K group."""
+    if z.orbits != k0.orbits:
+        raise ValueError("coordinates over the wrong orbit set")
+    return _member_search(k0, z, budget, cone=False)
 
 
 def in_positive_cone(
@@ -357,25 +356,7 @@ def in_positive_cone(
             )
         if not z.is_zero and tv == 0:
             return TriBool.no({"kind": "zero-trivial-coordinate"})
-    if z.is_zero:
-        return TriBool.yes(
-            {"kind": "member-witness", "cone": True, "index": 1, "witness": []}
-        )
-    for i, b in k0.denominators(budget):
-        w = cone_preimage(z * project(b, k0.orbits))
-        if w is not None:
-            return TriBool.yes(
-                {
-                    "kind": "member-witness",
-                    "cone": True,
-                    "index": i,
-                    "witness": elem_payload(w),
-                }
-            )
-    obstruction = _norm_obstruction(k0, z)
-    if obstruction is not None:
-        return TriBool.no(obstruction)
-    return TriBool.unknown({"kind": "budget-exhausted", "budget": budget})
+    return _member_search(k0, z, budget, cone=True)
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +435,11 @@ def absorbs(
 
 
 def _cycle_divisibility(
-    k0: K0Descriptor, other_cycle_bar: GroupRingElem, budget: int
+    k0: K0Descriptor, other_cycle: ProjCoords, budget: int
 ) -> tuple[int, GroupRingElem] | None:
-    """Find (delta, u) with pi(other_cycle * u) = pi(cycle^delta) over S."""
-    inv = project(other_cycle_bar, k0.orbits).inverse()
-    power = k0.ones()
-    cyc = project(k0.cycle_bar, k0.orbits)
-    for delta in range(1, budget + 1):
-        power = power * cyc
+    """Find (delta, u) with other_cycle * pi(u) = cycle^delta over S."""
+    inv = other_cycle.inverse()
+    for delta, power in k0.denominators(budget):
         u = cone_preimage(power * inv)
         if u is not None:
             return delta, u
@@ -584,8 +562,8 @@ def iso_elementary(
                 }
             )
 
-    cyc_fwd = _cycle_divisibility(k0b, k0a.cycle_bar, budget)
-    cyc_bwd = _cycle_divisibility(k0a, k0b.cycle_bar, budget)
+    cyc_fwd = _cycle_divisibility(k0b, k0a.cycle, budget)
+    cyc_bwd = _cycle_divisibility(k0a, k0b.cycle, budget)
     if cyc_fwd is None or cyc_bwd is None:
         return TriBool.unknown(
             {"kind": "budget-exhausted", "stage": "cycle-divisibility", "budget": budget}
@@ -607,19 +585,13 @@ def iso_elementary(
                 extended.append(b2 * w)
         candidates_b2.extend(extended)
 
-    shifts = [
-        GroupRingElem.monomial(g)
-        for g in sorted(d.group.elements(), key=lambda e: e.coords)
-    ]
+    shifts = sorted(d.group.elements(), key=lambda e: e.coords)
     for b2 in candidates_b2:
         rhs = b2 * k0b.x0_bar
-        b_list = []
-        if k0a.x0_bar == k0b.x0_bar:
-            b_list.append(b2)
+        lhs = b2 * k0a.x0_bar
         # order units related by a shift: try translated copies of b' first
-        for s in shifts:
-            if (b2 * s) * k0a.x0_bar == rhs:
-                b_list.append(b2 * s)
+        # (the identity comes first, so b' itself when the order units agree)
+        b_list = [b2.translate(g) for g in shifts if lhs.translate(g) == rhs]
         for pinned in (None, b2, b2 * k0a.cycle_bar):
             cand = _solve_initial_factor(k0a, rhs, pinned)
             if cand is not None:
@@ -780,8 +752,10 @@ def verify_member_certificate(
             return False
         if not cert["cone"] and not w.is_integer:
             return False
-        b = k0.denominator_at(cert["index"])
-        return project(w, k0.orbits) == z * project(b, k0.orbits)
+        index = cert["index"]
+        if type(index) is not int or index < 1:
+            return False
+        return project(w, k0.orbits) == z * _proj_power(k0.cycle, index)
     if verdict == "no":
         if kind == "negative-trivial-coordinate":
             v = z.values[0]
@@ -799,7 +773,7 @@ def verify_member_certificate(
             val = z.values[idx]
             if val.is_zero:
                 return False
-            cyc_norm = project(k0.cycle_bar, k0.orbits).values[idx].norm_to_q()
+            cyc_norm = k0.cycle.values[idx].norm_to_q()
             if _valuation(cyc_norm, p) != 0:
                 return False
             return _valuation(val.norm_to_q(), p) < 0
@@ -899,6 +873,8 @@ def verify_iso_certificate(
         b2 = payload_elem(d.group, cert["b_prime"])
         if not (b.is_nonneg_integer and b2.is_nonneg_integer):
             return False
+        if k0a.orbits != k0b.orbits:
+            return False
         if supp_orbits(b) != k0a.S or supp_orbits(b2) != k0a.S:
             return False
         if b * k0a.x0_bar != b2 * k0b.x0_bar:
@@ -921,8 +897,8 @@ def verify_iso_certificate(
             u = payload_elem(d.group, cert[key]["witness"])
             if not u.is_nonneg_integer:
                 return False
-            lhs = project(k_other.cycle_bar * u, k_src.orbits)
-            if lhs != _proj_power(project(k_src.cycle_bar, k_src.orbits), delta):
+            lhs = k_other.cycle * project(u, k_src.orbits)
+            if lhs != _proj_power(k_src.cycle, delta):
                 return False
         return True
     return kind == "budget-exhausted" and verdict == "unknown"

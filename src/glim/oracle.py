@@ -13,7 +13,6 @@ bicharacter of E comes out with the same orientation as the input data.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,15 +28,8 @@ from .cyclotomic import CycNum, get_field
 from .divalg import Bicharacter, DivisionClass, brauer_mul, enumerate_division_classes
 from .groupring import GroupRingElem
 
-DEFAULT_DIM_CAP = 4096
+DIM_CAP = 4096
 ASSOC_CHECK_DIM = 64
-
-
-def _dim_cap() -> int:
-    raw = os.environ.get("GLIM_MAX_DIM")
-    if raw is None:
-        return DEFAULT_DIM_CAP
-    return int(raw)
 
 
 def oracle_conductor(group: FinAbGroup) -> int:
@@ -347,7 +339,7 @@ def build_twisted(bichar: Bicharacter) -> FiniteGradedAlgebra:
             table[(index[s], index[t])] = (index[s * t], 2 * exp)
     unit = {index[G.identity]: fld.one}
     gen_vecs = tuple({index[g]: fld.one} for g in gens) or (dict(unit),)
-    if len(elems) > _dim_cap():
+    if len(elems) > DIM_CAP:
         raise ValueError("dimension cap exceeded")
     return FiniteGradedAlgebra(G, tuple(elems), table, unit, generators=gen_vecs)
 
@@ -380,7 +372,7 @@ def build_matrix(x: GroupRingElem, division=None) -> FiniteGradedAlgebra:
         gamma.extend([g] * int(c))
     size = len(gamma)
     inner_dim = bichar.subgroup.order if bichar is not None else 1
-    if size * size * inner_dim > _dim_cap():
+    if size * size * inner_dim > DIM_CAP:
         raise ValueError("dimension cap exceeded")
     fld = get_field(oracle_conductor(G))
     degrees = tuple(gp * gq.inverse() for gp in gamma for gq in gamma)
@@ -407,7 +399,7 @@ def tensor(a: FiniteGradedAlgebra, b: FiniteGradedAlgebra) -> FiniteGradedAlgebr
     if a.group != b.group:
         raise ValueError("tensor factors graded by different groups")
     dim = a.dim * b.dim
-    if dim > _dim_cap():
+    if dim > DIM_CAP:
         raise ValueError("dimension cap exceeded")
     bd = b.dim
     m = len(a.roots)
@@ -789,23 +781,17 @@ def graded_simple_decompose(a: FiniteGradedAlgebra) -> WedderburnInvariant:
             row.append(exp)
         rows.append(tuple(row))
     bichar = Bicharacter(sub, tuple(rows))
-    # degrees of a basis of V over the endo algebra (right action)
-    kept_degrees: list[GroupElem] = []
-    ech = _Echelon()
-    w_basis = [v for vs in endo.w_blocks.values() for v in vs]
-    for deg, v in mod.homogeneous_basis():
-        fresh = False
-        for w in w_basis:
-            img = endo.alg.mul(endo.preimage(v), w)
-            if ech.add(img) is None:
-                fresh = True
-        if fresh:
-            kept_degrees.append(deg)
-    assert len(kept_degrees) * sub.order == mod.dim, "rank bookkeeping failed"
+    # V is free over the graded-division endo algebra, whose components on T
+    # are one-dimensional (every W block is): a basis vector of degree d spans
+    # one dimension in each degree of dT, so a coset holds |T| per basis vector
     qgroup, alpha = quotient(a.group, sub)
-    counts = Counter(alpha(d) for d in kept_degrees)
+    dims: Counter = Counter()
+    for deg, block in mod.blocks.items():
+        dims[alpha(deg)] += block.dim
+    assert all(c % sub.order == 0 for c in dims.values()), "coset dimension off |T|"
+    counts = {q: c // sub.order for q, c in dims.items()}
+    assert a.dim == sum(counts.values()) ** 2 * sub.order, "dimension check failed"
     multiset = normalize_coset_multiset(qgroup, counts)
-    assert a.dim == (len(kept_degrees) ** 2) * sub.order, "dimension check failed"
     return WedderburnInvariant(
         support=sub,
         bichar=bichar,

@@ -78,14 +78,24 @@ def test_char_eval_examples(klein, x_t):
         assert char_eval(x_t, orbit.representative).is_zero
 
 
-def test_char_eval_is_ring_homomorphism(klein):
+def test_char_eval_is_ring_homomorphism():
+    """pi is a ring map, on each character and on the stacked coordinates;
+    the realized K0 datum reads pi(cycle^i) as the i-th coordinate power."""
     rng = random.Random(9)
-    orbits = dual_and_orbits(klein)
-    for _ in range(15):
-        z, w = random_label(rng, klein), random_label(rng, klein)
-        for o in orbits:
-            chi = o.representative
-            assert char_eval(z * w, chi) == char_eval(z, chi) * char_eval(w, chi)
+    for factors in [[2, 2], [4], [4, 2], [3, 3], [6, 2]]:
+        g = group_new(factors)
+        orbits = dual_and_orbits(g)
+        for _ in range(15):
+            z, w = random_label(rng, g), random_label(rng, g)
+            for o in orbits:
+                chi = o.representative
+                assert char_eval(z * w, chi) == char_eval(z, chi) * char_eval(w, chi)
+            pz = project(z, orbits)
+            assert project(z * w, orbits) == pz * project(w, orbits)
+            power = pz
+            for k in range(2, 5):
+                power = power * pz
+                assert project(z**k, orbits) == power
 
 
 def test_supp_orbits_examples(klein, x_t):

@@ -114,7 +114,7 @@ def test_k0_realization_example_4_4(klein, x_t):
     f = get_field(2)
     assert len(k.orbits) == 4
     assert all(v == f.scalar(2) for v in k.order_unit.values)
-    assert all(v == f.scalar(2) for v in k.denom_cycle[0].values)
+    assert all(v == f.scalar(2) for v in k.cycle.values)
 
     a_prime = LimitDescriptor(klein, x_t, (), (x_t,))
     kp = k0_realization(a_prime)
@@ -147,6 +147,16 @@ def test_member_k_order_unit(klein):
     r = in_k_group(k, k.order_unit, 4)
     assert r.verdict == "yes" and r.certificate["index"] == 1
     assert verify_member_certificate(k, k.order_unit, r.verdict, r.certificate)
+
+
+def test_member_witness_with_a_bad_index_does_not_replay(klein):
+    a = LimitDescriptor(klein, const(klein, 2), (), (const(klein, 2),))
+    k = k0_realization(a)
+    r = in_k_group(k, k.order_unit, 4)
+    assert verify_member_certificate(k, k.order_unit, r.verdict, r.certificate)
+    for index in (0, -1, "1", 1.0):
+        cert = dict(r.certificate, index=index)
+        assert verify_member_certificate(k, k.order_unit, "yes", cert) is False
 
 
 def test_member_k_dyadic(trivial_group):

@@ -108,11 +108,15 @@ def test_tensor_examples(klein, pauli, x_t):
     assert graded_iso_finite(tensor(p, opposite(p)), build_matrix(x_t))
 
 
-def test_tensor_dimension_cap(monkeypatch, klein, pauli):
-    monkeypatch.setenv("GLIM_MAX_DIM", "8")
-    p = build_twisted(pauli.bichar)
-    with pytest.raises(ValueError):
-        tensor(p, p)
+def test_tensor_dimension_cap(klein):
+    m8 = build_matrix(GroupRingElem.constant(klein, 8))
+    m9 = build_matrix(GroupRingElem.constant(klein, 9))
+    assert (m8.dim, m9.dim) == (64, 81)
+    # 5,184 and 4,225 exceed the cap; both are refused before any table is built
+    with pytest.raises(ValueError, match="dimension cap"):
+        tensor(m8, m9)
+    with pytest.raises(ValueError, match="dimension cap"):
+        build_matrix(GroupRingElem.constant(klein, 65))
 
 
 def test_tensor_degree_rule(klein, pauli):

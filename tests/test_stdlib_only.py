@@ -25,3 +25,25 @@ def test_package_imports_only_the_standard_library():
                 if top != "glim" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}: {name}")
     assert outside == []
+
+
+def test_package_reads_no_environment_variables():
+    """No hidden knobs: behaviour is set by arguments, never by os.environ."""
+    knobs = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+                and node.attr in knobs
+            ):
+                found.append(f"{path.name}:{node.lineno}: os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [
+                    f"{path.name}:{node.lineno}: from os import {alias.name}"
+                    for alias in node.names
+                    if alias.name in knobs
+                ]
+    assert found == []
