@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from .cyclotomic import CycNum, get_field
 from .exactsolve import hermite_basis, invert_unimodular, smith_normal_form
 
 
@@ -335,9 +334,6 @@ class Character:
             % n
         )
 
-    def value(self, g: GroupElem) -> CycNum:
-        return get_field(self.group.exponent).zeta(self.value_exponent(g))
-
     @property
     def order(self) -> int:
         return lcm(
@@ -435,12 +431,12 @@ def perp_of_subgroup(sub: Subgroup) -> Subgroup:
 
 
 def perp_of_orbits(group: FinAbGroup, orbits) -> Subgroup:
-    members = []
-    for g in group.elements():
-        if all(
-            chi.value_exponent(g) == 0 for orbit in orbits for chi in orbit.members
-        ):
-            members.append(g)
+    # chi(g) = 1 exactly when every Galois conjugate of chi(g) is 1
+    members = [
+        g
+        for g in group.elements()
+        if all(o.representative.value_exponent(g) == 0 for o in orbits)
+    ]
     return Subgroup(
         group, frozenset(members), tuple(sorted(members, key=lambda e: e.coords))
     )

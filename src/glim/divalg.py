@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .abelian import (
+    Character,
     FinAbGroup,
     GroupElem,
     Subgroup,
@@ -28,6 +29,13 @@ from .abelian import (
     subgroup_join,
 )
 from .groupring import GroupRingElem, subgroup_sum
+
+
+def _form(matrix, u, v, n: int) -> int:
+    """u^T M v mod n: a bilinear form given by its exponent matrix."""
+    return sum(
+        matrix[i][j] * u[i] * v[j] for i in range(len(u)) for j in range(len(v))
+    ) % n
 
 
 @dataclass(frozen=True)
@@ -81,13 +89,7 @@ class Bicharacter:
     def exponent_of(self, s: GroupElem, t: GroupElem) -> int:
         """The zeta_n-exponent of beta(s, t)."""
         _, _, coords = subgroup_basis(self.subgroup)
-        cs, ct = coords[s], coords[t]
-        n = self.conductor
-        return sum(
-            self.matrix[i][j] * cs[i] * ct[j]
-            for i in range(len(cs))
-            for j in range(len(ct))
-        ) % n
+        return _form(self.matrix, coords[s], coords[t], self.conductor)
 
     def radical(self) -> Subgroup:
         members = [
@@ -146,8 +148,7 @@ def bicharacter_from_generator_data(
         frontier = nxt
 
     def pairing(a: GroupElem, b: GroupElem) -> int:
-        wa, wb = words[a], words[b]
-        return sum(M[i][j] * wa[i] * wb[j] for i in range(m) for j in range(m)) % n
+        return _form(M, words[a], words[b], n)
 
     # well-definedness: the pairing must be bimultiplicative on elements and
     # reproduce the declared values on every generator pair
@@ -237,12 +238,7 @@ class BrauerClass:
                     raise ValueError("Brauer bicharacter must be skew")
 
     def value_exponent(self, chi_coords, psi_coords) -> int:
-        n = self.group.exponent
-        return sum(
-            self.matrix[i][j] * chi_coords[i] * psi_coords[j]
-            for i in range(len(chi_coords))
-            for j in range(len(psi_coords))
-        ) % n
+        return _form(self.matrix, chi_coords, psi_coords, self.group.exponent)
 
     def __mul__(self, other: "BrauerClass") -> "BrauerClass":
         n = self.group.exponent
@@ -284,42 +280,20 @@ def brauer_lift(d: DivisionClass) -> BrauerClass:
     pairing to psi's restriction under beta.
     """
     G = d.group
-    n = G.exponent
     k = len(G.factors)
-    pairing_elems = [
-        _pairing_element(d, tuple(int(j == t) for t in range(k))) for j in range(k)
-    ]
-    rows = []
-    for i in range(k):
-        chi_i = tuple(int(i == j) for j in range(k))
-        row = []
-        for t_psi in pairing_elems:
-            exp = sum(
-                (n // dfac) * mi * c
-                for mi, c, dfac in zip(chi_i, t_psi.coords, G.factors)
-            ) % n
-            row.append(exp)
-        rows.append(tuple(row))
-    return BrauerClass(G, tuple(rows))
+    units = [Character(G, tuple(int(i == j) for j in range(k))) for i in range(k)]
+    pairing_elems = [_pairing_element(d, chi) for chi in units]
+    return BrauerClass(
+        G, tuple(tuple(chi.value_exponent(t) for t in pairing_elems) for chi in units)
+    )
 
 
-def _pairing_element(d: DivisionClass, psi_coords) -> GroupElem:
+def _pairing_element(d: DivisionClass, psi: Character) -> GroupElem:
     """The unique t in the support with beta(t, .) equal to psi restricted."""
-    G = d.group
-    n = G.exponent
     gens_b, _, _ = subgroup_basis(d.support)
     found = None
     for t in d.support.sorted_elements():
-        ok = True
-        for g in gens_b:
-            chi_val = sum(
-                (n // dfac) * m * c
-                for m, c, dfac in zip(psi_coords, g.coords, G.factors)
-            ) % n
-            if d.bichar.exponent_of(t, g) != chi_val:
-                ok = False
-                break
-        if ok:
+        if all(d.bichar.exponent_of(t, g) == psi.value_exponent(g) for g in gens_b):
             if found is not None:
                 raise AssertionError("pairing element not unique; beta degenerate?")
             found = t
@@ -352,18 +326,11 @@ def brauer_unlift(b: BrauerClass) -> tuple[Subgroup, Bicharacter]:
     reps: dict[GroupElem, GroupElem] = {}
     for psi, g in carrier.items():
         reps.setdefault(g, psi)
-    rows = []
-    for gi in gens_b:
-        psi = reps[gi]
-        row = []
-        for gj in gens_b:
-            val = sum(
-                (n // dfac) * m * c
-                for m, c, dfac in zip(psi.coords, gj.coords, G.factors)
-            ) % n
-            row.append(val)
-        rows.append(tuple(row))
-    return support, Bicharacter(support, tuple(rows))
+    rows = tuple(
+        tuple(Character(G, reps[gi].coords).value_exponent(gj) for gj in gens_b)
+        for gi in gens_b
+    )
+    return support, Bicharacter(support, rows)
 
 
 def brauer_mul(

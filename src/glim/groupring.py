@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .abelian import (
     CharOrbit,
@@ -23,7 +24,7 @@ from .abelian import (
     Subgroup,
     dual_and_orbits,
 )
-from .cyclotomic import CycNum, get_field
+from .cyclotomic import CycNum, _canonical, get_field
 from .exactsolve import integer_solve, nonneg_integer_solve
 
 
@@ -153,22 +154,45 @@ def subgroup_sum(sub: Subgroup) -> GroupRingElem:
     return GroupRingElem.from_dict(sub.parent, {g: Fraction(1) for g in sub.elements})
 
 
+def character_column(chi: Character) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """chi(g) for every g, keyed by coordinates: the power-basis numerators of
+    zeta^{chi(g)}, which are integers because a root of unity has denominator 1."""
+    fld = get_field(chi.group.exponent)
+    return {g.coords: fld.zeta(chi.value_exponent(g)).num for g in chi.group.elements()}
+
+
+@lru_cache(maxsize=None)
+def _character_table(group: FinAbGroup) -> dict[CharOrbit, dict]:
+    """The column of every orbit representative of the dual group."""
+    return {o: character_column(o.representative) for o in dual_and_orbits(group)}
+
+
+def _evaluate(z: GroupRingElem, columns) -> tuple[CycNum, ...]:
+    """sum_g c_g chi(g) for each column, as integer numerators over the lcm of
+    the coefficient denominators, brought to canonical form once."""
+    fld = get_field(z.group.exponent)
+    den = lcm(*(c.denominator for _, c in z.coeffs))
+    terms = [(g.coords, c.numerator * (den // c.denominator)) for g, c in z.coeffs]
+    out = []
+    for column in columns:
+        num = [0] * fld.degree
+        for g, c in terms:
+            for i, x in enumerate(column[g]):
+                num[i] += c * x
+        out.append(_canonical(fld, num, den))
+    return tuple(out)
+
+
 def char_eval(z: GroupRingElem, chi: Character) -> CycNum:
     if chi.group != z.group:
         raise ValueError("character and element over different groups")
-    n = z.group.exponent
-    fld = get_field(n)
-    out = fld.zero
-    for g, c in z.coeffs:
-        out = out + fld.zeta(chi.value_exponent(g)) * c
-    return out
+    return _evaluate(z, [character_column(chi)])[0]
 
 
 def supp_orbits(z: GroupRingElem) -> frozenset[CharOrbit]:
     """Character support: the orbits where the projection of z is nonzero."""
-    return frozenset(
-        o for o in dual_and_orbits(z.group) if not char_eval(z, o.representative).is_zero
-    )
+    full = project(z, dual_and_orbits(z.group))
+    return frozenset(o for o, v in zip(full.orbits, full.values) if not v.is_zero)
 
 
 def orbit_idempotent(orbit: CharOrbit) -> GroupRingElem:
@@ -217,6 +241,9 @@ class ProjCoords:
 
     __rmul__ = __mul__
 
+    def __pow__(self, k: int) -> "ProjCoords":
+        return ProjCoords(self.group, self.orbits, tuple(v**k for v in self.values))
+
     def inverse(self) -> "ProjCoords":
         return ProjCoords(
             self.group, self.orbits, tuple(v.inverse() for v in self.values)
@@ -236,9 +263,8 @@ def canonical_orbits(group: FinAbGroup, orbits) -> tuple[CharOrbit, ...]:
 
 def project(z: GroupRingElem, orbits) -> ProjCoords:
     orbs = canonical_orbits(z.group, orbits)
-    return ProjCoords(
-        z.group, orbs, tuple(char_eval(z, o.representative) for o in orbs)
-    )
+    table = _character_table(z.group)
+    return ProjCoords(z.group, orbs, _evaluate(z, [table[o] for o in orbs]))
 
 
 # ---------------------------------------------------------------------------
@@ -248,26 +274,15 @@ def project(z: GroupRingElem, orbits) -> ProjCoords:
 class _CoordSystem:
     """Integer coordinate matrix of the group elements on an orbit set.
 
-    Column g stacks, orbit by orbit, the coefficient vector of chi_j(g) in the
-    power basis of Q(zeta_n); these are always integers.
+    Column g stacks, orbit by orbit, the character table's numerators of
+    chi_j(g); each row is one power-basis coordinate of one orbit.
     """
 
     def __init__(self, group: FinAbGroup, orbits: tuple[CharOrbit, ...]):
         self.group = group
-        self.orbits = orbits
-        self.elements = sorted(group.elements(), key=lambda g: g.coords)
-        n = group.exponent
-        fld = get_field(n)
-        self.field = fld
-        cols = []
-        for g in self.elements:
-            col: list[int] = []
-            for o in orbits:
-                # a root of unity has denominator 1
-                col.extend(fld.zeta(o.representative.value_exponent(g)).num)
-            cols.append(col)
-        self.nrows = len(cols[0]) if cols else 0
-        self.rows = [[cols[c][r] for c in range(len(cols))] for r in range(self.nrows)]
+        self.elements = group.elements()  # sorted by coordinates
+        table = _character_table(group)
+        self.rows = [list(row) for o in orbits for row in zip(*table[o].values())]
 
     def target_vector(self, target: ProjCoords) -> list[int] | None:
         """Stacked coordinates of the target; None when not integral."""
@@ -285,18 +300,9 @@ class _CoordSystem:
         )
 
 
-@lru_cache(maxsize=None)
-def _coord_system(group: FinAbGroup, orbits: tuple[CharOrbit, ...]) -> _CoordSystem:
-    return _CoordSystem(group, orbits)
-
-
-def _system(target: ProjCoords) -> _CoordSystem:
-    return _coord_system(target.group, target.orbits)
-
-
 def lattice_preimage(target: ProjCoords) -> GroupRingElem | None:
     """Some z in ZG with the given projection, or None."""
-    sys = _system(target)
+    sys = _CoordSystem(target.group, target.orbits)
     vec = sys.target_vector(target)
     if vec is None:
         return None
@@ -308,7 +314,7 @@ def lattice_preimage(target: ProjCoords) -> GroupRingElem | None:
 
 def cone_preimage(target: ProjCoords) -> GroupRingElem | None:
     """Some z in Z>=0 G with the given projection, or None (complete)."""
-    sys = _system(target)
+    sys = _CoordSystem(target.group, target.orbits)
     vec = sys.target_vector(target)
     if vec is None:
         return None

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import gcd, isqrt, prod
 
 from .abelian import (
     CharOrbit,
@@ -279,8 +279,17 @@ def _valuation(q: Fraction, p: int) -> int:
     return v
 
 
+def _least_prime_factor(m: int) -> int:
+    for p in range(2, isqrt(m) + 1):
+        if m % p == 0:
+            return p
+    return m
+
+
 def _norm_obstruction(k0: K0Descriptor, z: ProjCoords) -> dict | None:
-    """Denominator primes of a coordinate norm that the cycle can never clear."""
+    """The least denominator prime of a coordinate norm that the cycle can
+    never clear: the cycle norm's primes are stripped by gcd, then the rest
+    is trial-divided up to its square root."""
     cyc = k0.cycle
     for j, orbit in enumerate(k0.orbits):
         val = z.values[j]
@@ -289,21 +298,18 @@ def _norm_obstruction(k0: K0Descriptor, z: ProjCoords) -> dict | None:
         nz = val.norm_to_q()
         cyc_norm = cyc.values[j].norm_to_q()
         den = nz.denominator
-        p = 2
-        while den > 1:
-            if den % p == 0:
-                while den % p == 0:
-                    den //= p
-                if _valuation(cyc_norm, p) == 0 and _valuation(nz, p) < 0:
-                    return {
-                        "kind": "norm-obstruction",
-                        "orbit": orbit_payload(orbit),
-                        "prime": p,
-                        "value_valuation": _valuation(nz, p),
-                        # 0: standard_form leaves no prefix (key kept for the schema)
-                        "prefix_valuation_cap": 0,
-                    }
-            p += 1
+        while (g := gcd(den, cyc_norm.numerator * cyc_norm.denominator)) != 1:
+            den //= g
+        if den > 1:
+            p = _least_prime_factor(den)
+            return {
+                "kind": "norm-obstruction",
+                "orbit": orbit_payload(orbit),
+                "prime": p,
+                "value_valuation": _valuation(nz, p),
+                # 0: standard_form leaves no prefix (key kept for the schema)
+                "prefix_valuation_cap": 0,
+            }
     return None
 
 
@@ -755,7 +761,7 @@ def verify_member_certificate(
         index = cert["index"]
         if type(index) is not int or index < 1:
             return False
-        return project(w, k0.orbits) == z * _proj_power(k0.cycle, index)
+        return project(w, k0.orbits) == z * k0.cycle**index
     if verdict == "no":
         if kind == "negative-trivial-coordinate":
             v = z.values[0]
@@ -766,17 +772,19 @@ def verify_member_certificate(
         if kind == "irrational-trivial-coordinate":
             return not z.values[0].is_rational
         if kind == "norm-obstruction":
+            # any p >= 2 prime to the cycle norm and dividing the value's norm
+            # denominator has a prime factor that no denominator can clear
             p = cert["prime"]
             idx = _named_orbit(k0, cert)
-            if idx is None:
+            if type(p) is not int or p < 2 or idx is None:
                 return False
             val = z.values[idx]
             if val.is_zero:
                 return False
             cyc_norm = k0.cycle.values[idx].norm_to_q()
-            if _valuation(cyc_norm, p) != 0:
+            if gcd(p, cyc_norm.numerator * cyc_norm.denominator) != 1:
                 return False
-            return _valuation(val.norm_to_q(), p) < 0
+            return val.norm_to_q().denominator % p == 0
         return False
     return kind == "budget-exhausted"
 
@@ -894,21 +902,15 @@ def verify_iso_certificate(
             ("cycle_backward", k0a, k0b),
         ):
             delta = cert[key]["delta"]
+            if type(delta) is not int or delta < 1:
+                return False
             u = payload_elem(d.group, cert[key]["witness"])
             if not u.is_nonneg_integer:
                 return False
-            lhs = k_other.cycle * project(u, k_src.orbits)
-            if lhs != _proj_power(k_src.cycle, delta):
+            if k_other.cycle * project(u, k_src.orbits) != k_src.cycle**delta:
                 return False
         return True
     return kind == "budget-exhausted" and verdict == "unknown"
-
-
-def _proj_power(c: ProjCoords, k: int) -> ProjCoords:
-    out = ProjCoords(c.group, c.orbits, tuple(v.field.one for v in c.values))
-    for _ in range(k):
-        out = out * c
-    return out
 
 
 def verify_general_iso_certificate(

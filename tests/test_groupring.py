@@ -2,12 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from glim.abelian import dual_and_orbits, group_new, subgroup_from_generators
+from glim.abelian import (
+    Character,
+    dual_and_orbits,
+    group_new,
+    subgroup_from_generators,
+)
 from glim.cyclotomic import get_field
 from glim.groupring import (
     GroupRingElem,
     ProjCoords,
+    _CoordSystem,
     char_eval,
     cone_member,
     cone_preimage,
@@ -22,6 +29,7 @@ from glim.groupring import (
 from conftest import random_label
 
 IDEMPOTENT_GROUPS = [[2], [3], [4], [2, 2], [6], [4, 2], [8], [3, 3], [2, 2, 2]]
+TABLE_GROUPS = [[2, 2], [4], [4, 2], [3, 3], [6, 2], [8]]
 
 
 def test_convolution_examples(klein, klein_full, x_t):
@@ -96,6 +104,42 @@ def test_char_eval_is_ring_homomorphism():
             for k in range(2, 5):
                 power = power * pz
                 assert project(z**k, orbits) == power
+
+
+def _per_term_value(z: GroupRingElem, chi: Character):
+    """The reference sum_g c_g zeta^{chi(g)}, one cyclotomic term at a time."""
+    fld = get_field(z.group.exponent)
+    return sum((fld.zeta(chi.value_exponent(g)) * c for g, c in z.coeffs), fld.zero)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TABLE_GROUPS), st.data())
+def test_character_table_matches_per_term_sum(factors, data):
+    g = group_new(factors)
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    z = GroupRingElem.from_dict(
+        g, {e: data.draw(coeff) for e in g.elements() if data.draw(st.booleans())}
+    )
+    orbits = dual_and_orbits(g)
+    # every member of every orbit, so most characters are not representatives
+    for o in orbits:
+        for chi in o.members:
+            assert char_eval(z, chi) == _per_term_value(z, chi)
+    chosen = data.draw(st.lists(st.sampled_from(orbits), unique=True))
+    pz = project(z, chosen)
+    assert pz.values == tuple(_per_term_value(z, o.representative) for o in pz.orbits)
+    assert supp_orbits(z) == frozenset(
+        o for o in orbits if not _per_term_value(z, o.representative).is_zero
+    )
+    fld = get_field(g.exponent)
+    elems = sorted(g.elements(), key=lambda e: e.coords)
+    rows = [
+        [fld.zeta(o.representative.value_exponent(e)).num[r] for e in elems]
+        for o in pz.orbits
+        for r in range(fld.degree)
+    ]
+    system = _CoordSystem(g, pz.orbits)
+    assert system.elements == elems and system.rows == rows
 
 
 def test_supp_orbits_examples(klein, x_t):

@@ -178,6 +178,40 @@ def test_member_k_dyadic(trivial_group):
     assert verify_member_certificate(k, third, r2.verdict, r2.certificate)
 
 
+def test_member_witness_with_a_huge_index_is_refused_quickly(trivial_group):
+    k = k0_realization(uhf(trivial_group, 2))
+    r = in_k_group(k, k.order_unit, 4)
+    cert = dict(r.certificate, index=10**6)
+    assert verify_member_certificate(k, k.order_unit, "yes", cert) is False
+
+
+def test_norm_obstruction_with_a_bad_prime_does_not_replay(trivial_group):
+    k = k0_realization(uhf(trivial_group, 2))
+    quarter = ProjCoords(
+        trivial_group, k.orbits, (get_field(1).scalar(Fraction(1, 4)),)
+    )
+    assert in_k_group(k, quarter, 4).verdict == "yes"
+    for prime in (4, 1, 0, "3"):
+        cert = {
+            "kind": "norm-obstruction",
+            "orbit": {"rep": [0], "size": 1},
+            "prime": prime,
+            "value_valuation": -1,
+            "prefix_valuation_cap": 0,
+        }
+        assert verify_member_certificate(k, quarter, "no", cert) is False
+
+
+def test_norm_obstruction_finds_a_large_prime(trivial_group):
+    k = k0_realization(uhf(trivial_group, 2))
+    p = 1000000007
+    z = ProjCoords(trivial_group, k.orbits, (get_field(1).scalar(Fraction(1, p)),))
+    r = in_k_group(k, z, 4)
+    assert r.verdict == "no"
+    assert r.certificate["prime"] == p and r.certificate["value_valuation"] == -1
+    assert verify_member_certificate(k, z, r.verdict, r.certificate)
+
+
 def test_member_k_plus_examples(trivial_group):
     z2 = group_new([2])
     label = GroupRingElem.from_dict(z2, {z2.identity: 1, z2.element((1,)): 1})
@@ -303,6 +337,16 @@ def test_iso_elementary_uhf(trivial_group):
     r2 = iso_elementary(two, four, 4)
     assert r2.verdict == "yes"
     assert verify_iso_certificate(two, four, r2.verdict, r2.certificate)
+
+
+def test_iso_witness_with_a_bad_cycle_delta_does_not_replay(trivial_group):
+    two, four = uhf(trivial_group, 2), uhf(trivial_group, 4)
+    r = iso_elementary(two, four, 4)
+    assert r.verdict == "yes"
+    for delta in (0, -1, "1", 1.0, True):
+        for key in ("cycle_forward", "cycle_backward"):
+            cert = dict(r.certificate, **{key: dict(r.certificate[key], delta=delta)})
+            assert verify_iso_certificate(two, four, "yes", cert) is False
 
 
 def test_iso_elementary_example_4_4(klein, x_t):

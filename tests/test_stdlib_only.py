@@ -47,3 +47,39 @@ def test_package_reads_no_environment_variables():
                     if alias.name in knobs
                 ]
     assert found == []
+
+
+def test_package_uses_no_floating_point():
+    """Exact arithmetic only: no float literal, no float() or round() call, and
+    from math only the integer functions gcd, lcm, prod and isqrt.
+
+    Int/int true division (``a / b`` on two ints) yields a float too, but the
+    operand types are not visible to an AST walk, so this check cannot see it.
+    """
+    integer_math = {"gcd", "lcm", "prod", "isqrt"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+                found.append(f"{where}: literal {node.value!r}")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("float", "round")
+            ):
+                found.append(f"{where}: {node.func.id}()")
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "math"
+                and node.attr not in integer_math
+            ):
+                found.append(f"{where}: math.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [
+                    f"{where}: from math import {alias.name}"
+                    for alias in node.names
+                    if alias.name not in integer_math
+                ]
+    assert found == []
