@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from .exactsolve import hermite_basis, invert_unimodular, smith_normal_form
+from .exactsolve import hermite_basis, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -173,9 +173,15 @@ def subgroup_join(a: Subgroup, b: Subgroup) -> Subgroup:
     return subgroup_from_generators(a.parent, a.generators + b.generators)
 
 
+def subgroup_from_members(group: FinAbGroup, members) -> Subgroup:
+    """The subgroup with exactly these elements, each one a generator, in
+    coordinate order."""
+    members = frozenset(members)
+    return Subgroup(group, members, tuple(sorted(members, key=lambda g: g.coords)))
+
+
 def subgroup_intersection(a: Subgroup, b: Subgroup) -> Subgroup:
-    common = a.elements & b.elements
-    return Subgroup(a.parent, frozenset(common), tuple(sorted(common, key=lambda g: g.coords)))
+    return subgroup_from_members(a.parent, a.elements & b.elements)
 
 
 @lru_cache(maxsize=None)
@@ -229,7 +235,7 @@ def subgroup_basis(sub: Subgroup):
         row = _solve_row_upper(B, target)
         W.append(row)
     S, _U, V = smith_normal_form(W)
-    Vinv = invert_unimodular(V)
+    Vinv = _unimodular_inverse(V)
     gens = []
     orders = []
     for i in range(k):
@@ -248,6 +254,13 @@ def subgroup_basis(sub: Subgroup):
         coords[elem] = tup
     assert len(coords) == sub.order, "basis does not enumerate the subgroup"
     return tuple(gens), tuple(orders), coords
+
+
+def _unimodular_inverse(V: list[list[int]]) -> list[list[int]]:
+    """V^-1 = Q P from V's own Smith form P V Q = I."""
+    _I, P, Q = smith_normal_form(V)
+    k = len(V)
+    return [[sum(Q[i][t] * P[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
 
 
 def _solve_row_upper(B: list[list[int]], target: list[int]) -> list[int]:
@@ -427,7 +440,7 @@ def perp_of_subgroup(sub: Subgroup) -> Subgroup:
         chi = Character(G, m.coords)
         if all(chi.value_exponent(t) == 0 for t in sub.elements):
             members.append(m)
-    return Subgroup(dual, frozenset(members), tuple(sorted(members, key=lambda g: g.coords)))
+    return subgroup_from_members(dual, members)
 
 
 def perp_of_orbits(group: FinAbGroup, orbits) -> Subgroup:
@@ -437,6 +450,4 @@ def perp_of_orbits(group: FinAbGroup, orbits) -> Subgroup:
         for g in group.elements()
         if all(o.representative.value_exponent(g) == 0 for o in orbits)
     ]
-    return Subgroup(
-        group, frozenset(members), tuple(sorted(members, key=lambda e: e.coords))
-    )
+    return subgroup_from_members(group, members)

@@ -221,9 +221,7 @@ def cmd_iso(args) -> int:
     if a.group != b.group:
         raise DescriptorError("group", "descriptors are graded by different groups")
     if a.division is None and b.division is None:
-        result = iso_elementary(
-            a, b, args.budget, args.budget_primes, args.label_bound
-        )
+        result = iso_elementary(a, b, args.budget, args.budget_primes)
         checker = lambda r: verify_iso_certificate(a, b, r.verdict, r.certificate)
     else:
         result = iso_general(a, b, args.budget, args.budget_primes)
@@ -349,9 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="unrolled cycle periods to search (default 32)")
         p.add_argument("--budget-primes", type=int, default=DEFAULT_PRIME_BUDGET,
                        help="largest prime scaling invariant to test (default 13)")
-        p.add_argument("--label-bound", type=int, default=0,
-                       help="coefficient bound for extra candidate multipliers "
-                            "in the isomorphism search (default 0: off)")
         p.add_argument("--check-certificate", action="store_true",
                        help="replay the certificate before reporting")
         p.add_argument("--json", action="store_true", help="machine-readable output")

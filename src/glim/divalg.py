@@ -25,6 +25,7 @@ from .abelian import (
     dual_group,
     subgroup_basis,
     subgroup_from_generators,
+    subgroup_from_members,
     subgroup_intersection,
     subgroup_join,
 )
@@ -97,11 +98,7 @@ class Bicharacter:
             for t in self.subgroup.elements
             if all(self.exponent_of(t, s) == 0 for s in self.subgroup.elements)
         ]
-        return Subgroup(
-            self.subgroup.parent,
-            frozenset(members),
-            tuple(sorted(members, key=lambda g: g.coords)),
-        )
+        return subgroup_from_members(self.subgroup.parent, members)
 
     @property
     def is_nondegenerate(self) -> bool:
@@ -268,9 +265,7 @@ class BrauerClass:
             for m in dual.elements()
             if all(self.value_exponent(u, m.coords) == 0 for u in units)
         ]
-        return Subgroup(
-            dual, frozenset(members), tuple(sorted(members, key=lambda g: g.coords))
-        )
+        return subgroup_from_members(dual, members)
 
 
 def brauer_lift(d: DivisionClass) -> BrauerClass:
@@ -320,8 +315,7 @@ def brauer_unlift(b: BrauerClass) -> tuple[Subgroup, Bicharacter]:
             coords.append((val // step) % G.factors[i])
         g = G.element(tuple(coords))
         carrier[psi] = g
-    members = frozenset(carrier.values())
-    support = Subgroup(G, members, tuple(sorted(members, key=lambda g: g.coords)))
+    support = subgroup_from_members(G, carrier.values())
     gens_b, _, _ = subgroup_basis(support)
     reps: dict[GroupElem, GroupElem] = {}
     for psi, g in carrier.items():

@@ -147,65 +147,30 @@ def smith_normal_form(
     return A, U, V
 
 
-def integer_solve(rows: list[list[int]], b: list[int]) -> list[int] | None:
-    """One integer solution x of A x = b, or None if none exists."""
+def _smith_solve(rows: list[list[int]], b: list[int]) -> tuple[list[int] | None, int]:
+    """One integer solution of A x = b (None if none exists) and the rank of A."""
     m = len(rows)
-    if m == 0:
-        return []
     k = len(rows[0])
     S, U, V = smith_normal_form(rows)
     c = [sum(U[i][j] * b[j] for j in range(m)) for i in range(m)]
+    rank = sum(1 for i in range(min(m, k)) if S[i][i])
     y = [0] * k
     for i in range(m):
         d = S[i][i] if i < k else 0
         if d:
             if c[i] % d:
-                return None
+                return None, rank
             y[i] = c[i] // d
         elif c[i]:
-            return None
-    return [sum(V[i][j] * y[j] for j in range(k)) for i in range(k)]
+            return None, rank
+    return [sum(V[i][j] * y[j] for j in range(k)) for i in range(k)], rank
 
 
-def integer_kernel(rows: list[list[int]]) -> list[list[int]]:
-    """Basis of the integer kernel {x : A x = 0}."""
-    m = len(rows)
-    if m == 0:
+def integer_solve(rows: list[list[int]], b: list[int]) -> list[int] | None:
+    """One integer solution x of A x = b, or None if none exists."""
+    if not rows:
         return []
-    k = len(rows[0])
-    S, _U, V = smith_normal_form(rows)
-    basis = []
-    for j in range(k):
-        d = S[j][j] if j < m else 0
-        if d == 0:
-            basis.append([V[i][j] for i in range(k)])
-    return basis
-
-
-def invert_unimodular(M: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix."""
-    k = len(M)
-    aug = [[Fraction(M[i][j]) for j in range(k)] + [Fraction(int(i == j)) for j in range(k)]
-           for i in range(k)]
-    for col in range(k):
-        piv = next(i for i in range(col, k) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        lead = aug[col][col]
-        aug[col] = [x / lead for x in aug[col]]
-        for i in range(k):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    inv = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            v = aug[i][k + j]
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(v))
-        inv.append(row)
-    return inv
+    return _smith_solve(rows, b)[0]
 
 
 def rational_solve(rows, b) -> tuple[str, list[Fraction] | None]:
@@ -355,16 +320,12 @@ def nonneg_integer_solve(rows: list[list[int]], b: list[int]) -> list[int] | Non
         return [] if all(v == 0 for v in b) else None
     if all(v == 0 for v in b):
         return [0] * n
-    if integer_solve(rows, b) is None:
+    x, rank = _smith_solve(rows, b)
+    if x is None:
         return None
-    status, x = rational_solve(rows, b)
-    if status == "inconsistent":
-        return None
-    if status == "unique":
-        assert x is not None
-        if all(v.denominator == 1 and v >= 0 for v in x):
-            return [int(v) for v in x]
-        return None
+    if rank == n:
+        # full column rank: the integer solution is the only rational one
+        return x if all(v >= 0 for v in x) else None
 
     cap = _borosh_treybig_cap(rows, b)
     frac_rows = [[Fraction(v) for v in r] for r in rows]

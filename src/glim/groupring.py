@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 from .abelian import (
     CharOrbit,
@@ -154,39 +154,41 @@ def subgroup_sum(sub: Subgroup) -> GroupRingElem:
     return GroupRingElem.from_dict(sub.parent, {g: Fraction(1) for g in sub.elements})
 
 
-def character_column(chi: Character) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """chi(g) for every g, keyed by coordinates: the power-basis numerators of
-    zeta^{chi(g)}, which are integers because a root of unity has denominator 1."""
+def character_rows(chi: Character) -> tuple[tuple[int, ...], ...]:
+    """chi(g) for every g in ``group.elements()`` order, one row per
+    power-basis coordinate: the numerators of zeta^{chi(g)}, which are
+    integers because a root of unity has denominator 1."""
     fld = get_field(chi.group.exponent)
-    return {g.coords: fld.zeta(chi.value_exponent(g)).num for g in chi.group.elements()}
+    return tuple(zip(*(fld.zeta(chi.value_exponent(g)).num for g in chi.group.elements())))
 
 
 @lru_cache(maxsize=None)
-def _character_table(group: FinAbGroup) -> dict[CharOrbit, dict]:
-    """The column of every orbit representative of the dual group."""
-    return {o: character_column(o.representative) for o in dual_and_orbits(group)}
+def _character_table(group: FinAbGroup) -> dict[CharOrbit, tuple[tuple[int, ...], ...]]:
+    """The rows of every orbit representative of the dual group."""
+    return {o: character_rows(o.representative) for o in dual_and_orbits(group)}
 
 
-def _evaluate(z: GroupRingElem, columns) -> tuple[CycNum, ...]:
-    """sum_g c_g chi(g) for each column, as integer numerators over the lcm of
-    the coefficient denominators, brought to canonical form once."""
-    fld = get_field(z.group.exponent)
+def _evaluate(z: GroupRingElem, blocks) -> tuple[CycNum, ...]:
+    """sum_g c_g chi(g) for each block of rows, as integer numerators over the
+    lcm of the coefficient denominators, brought to canonical form once."""
+    G = z.group
+    fld = get_field(G.exponent)
     den = lcm(*(c.denominator for _, c in z.coeffs))
-    terms = [(g.coords, c.numerator * (den // c.denominator)) for g, c in z.coeffs]
-    out = []
-    for column in columns:
-        num = [0] * fld.degree
-        for g, c in terms:
-            for i, x in enumerate(column[g]):
-                num[i] += c * x
-        out.append(_canonical(fld, num, den))
-    return tuple(out)
+    strides = [prod(G.factors[i + 1:]) for i in range(len(G.factors))]
+    terms = [
+        (sum(a * s for a, s in zip(g.coords, strides)), c.numerator * (den // c.denominator))
+        for g, c in z.coeffs
+    ]
+    return tuple(
+        _canonical(fld, [sum(c * row[i] for i, c in terms) for row in rows], den)
+        for rows in blocks
+    )
 
 
 def char_eval(z: GroupRingElem, chi: Character) -> CycNum:
     if chi.group != z.group:
         raise ValueError("character and element over different groups")
-    return _evaluate(z, [character_column(chi)])[0]
+    return _evaluate(z, [character_rows(chi)])[0]
 
 
 def supp_orbits(z: GroupRingElem) -> frozenset[CharOrbit]:
@@ -271,57 +273,31 @@ def project(z: GroupRingElem, orbits) -> ProjCoords:
 # feasibility kernels
 
 
-class _CoordSystem:
-    """Integer coordinate matrix of the group elements on an orbit set.
-
-    Column g stacks, orbit by orbit, the character table's numerators of
-    chi_j(g); each row is one power-basis coordinate of one orbit.
-    """
-
-    def __init__(self, group: FinAbGroup, orbits: tuple[CharOrbit, ...]):
-        self.group = group
-        self.elements = group.elements()  # sorted by coordinates
-        table = _character_table(group)
-        self.rows = [list(row) for o in orbits for row in zip(*table[o].values())]
-
-    def target_vector(self, target: ProjCoords) -> list[int] | None:
-        """Stacked coordinates of the target; None when not integral."""
-        vec: list[int] = []
-        for v in target.values:
-            if v.den != 1:
-                return None
-            vec.extend(v.num)
-        return vec
-
-    def combine(self, coeffs: list[int]) -> GroupRingElem:
-        return GroupRingElem.from_dict(
-            self.group,
-            {g: Fraction(c) for g, c in zip(self.elements, coeffs)},
-        )
+def _preimage(target: ProjCoords, solve) -> GroupRingElem | None:
+    """Some z with the given projection whose coefficients ``solve`` finds
+    from the stacked integer coordinates, or None."""
+    vec: list[int] = []
+    for v in target.values:
+        if v.den != 1:
+            return None
+        vec.extend(v.num)
+    table = _character_table(target.group)
+    sol = solve([row for o in target.orbits for row in table[o]], vec)
+    if sol is None:
+        return None
+    return GroupRingElem.from_dict(
+        target.group, {g: Fraction(c) for g, c in zip(target.group.elements(), sol)}
+    )
 
 
 def lattice_preimage(target: ProjCoords) -> GroupRingElem | None:
     """Some z in ZG with the given projection, or None."""
-    sys = _CoordSystem(target.group, target.orbits)
-    vec = sys.target_vector(target)
-    if vec is None:
-        return None
-    sol = integer_solve(sys.rows, vec)
-    if sol is None:
-        return None
-    return sys.combine(sol)
+    return _preimage(target, integer_solve)
 
 
 def cone_preimage(target: ProjCoords) -> GroupRingElem | None:
     """Some z in Z>=0 G with the given projection, or None (complete)."""
-    sys = _CoordSystem(target.group, target.orbits)
-    vec = sys.target_vector(target)
-    if vec is None:
-        return None
-    sol = nonneg_integer_solve(sys.rows, vec)
-    if sol is None:
-        return None
-    return sys.combine(sol)
+    return _preimage(target, nonneg_integer_solve)
 
 
 def lattice_member(target: ProjCoords) -> bool:

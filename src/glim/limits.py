@@ -44,6 +44,8 @@ from .groupring import (
 
 DEFAULT_BUDGET = 32
 DEFAULT_PRIME_BUDGET = 13
+# _norm_obstruction trial-divides only up to this bound
+TRIAL_DIVISION_CAP = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +281,20 @@ def _valuation(q: Fraction, p: int) -> int:
     return v
 
 
-def _least_prime_factor(m: int) -> int:
-    for p in range(2, isqrt(m) + 1):
+def _least_factor(m: int) -> int:
+    """The least prime factor of m when it is at most TRIAL_DIVISION_CAP or
+    m is prime; otherwise m itself."""
+    for p in range(2, min(isqrt(m), TRIAL_DIVISION_CAP) + 1):
         if m % p == 0:
             return p
     return m
 
 
 def _norm_obstruction(k0: K0Descriptor, z: ProjCoords) -> dict | None:
-    """The least denominator prime of a coordinate norm that the cycle can
-    never clear: the cycle norm's primes are stripped by gcd, then the rest
-    is trial-divided up to its square root."""
+    """A factor of a coordinate norm's denominator that the cycle can never
+    clear: the cycle norm's primes are stripped by gcd, then the rest is
+    trial-divided up to its square root or TRIAL_DIVISION_CAP, whichever is
+    smaller (past the cap the certificate names the whole remainder)."""
     cyc = k0.cycle
     for j, orbit in enumerate(k0.orbits):
         val = z.values[j]
@@ -301,7 +306,7 @@ def _norm_obstruction(k0: K0Descriptor, z: ProjCoords) -> dict | None:
         while (g := gcd(den, cyc_norm.numerator * cyc_norm.denominator)) != 1:
             den //= g
         if den > 1:
-            p = _least_prime_factor(den)
+            p = _least_factor(den)
             return {
                 "kind": "norm-obstruction",
                 "orbit": orbit_payload(orbit),
@@ -502,7 +507,6 @@ def iso_elementary(
     d2: LimitDescriptor,
     budget: int = DEFAULT_BUDGET,
     prime_budget: int = DEFAULT_PRIME_BUDGET,
-    extra_label_bound: int = 0,
 ) -> TriBool:
     """Isomorphism of two elementary limits over the same group.
 
@@ -584,12 +588,6 @@ def iso_elementary(
             power = power * k0b.cycle_bar
         if k >= start:
             candidates_b2.append(power)
-    if extra_label_bound > 0:
-        extended = []
-        for w in _bounded_multipliers(d.group, k0a.S, extra_label_bound):
-            for b2 in candidates_b2:
-                extended.append(b2 * w)
-        candidates_b2.extend(extended)
 
     shifts = sorted(d.group.elements(), key=lambda e: e.coords)
     for b2 in candidates_b2:
@@ -661,25 +659,6 @@ def _primes_up_to(bound: int) -> list[int]:
         if all(p % q for q in out):
             out.append(p)
     return out
-
-
-def _bounded_multipliers(group: FinAbGroup, S, bound: int, cap: int = 20000):
-    """Nonnegative elements with coefficients at most the bound and support S."""
-    import itertools
-
-    elems = sorted(group.elements(), key=lambda g: g.coords)
-    count = 0
-    for combo in itertools.product(range(bound + 1), repeat=len(elems)):
-        count += 1
-        if count > cap:
-            return
-        if not any(combo):
-            continue
-        w = GroupRingElem.from_dict(
-            group, {g: Fraction(c) for g, c in zip(elems, combo)}
-        )
-        if supp_orbits(w) == S:
-            yield w
 
 
 def iso_general(

@@ -23,6 +23,7 @@ from .abelian import (
     Subgroup,
     quotient,
     subgroup_basis,
+    subgroup_from_members,
 )
 from .cyclotomic import CycNum, get_field
 from .divalg import Bicharacter, DivisionClass, brauer_mul, enumerate_division_classes
@@ -754,12 +755,7 @@ def graded_simple_decompose(a: FiniteGradedAlgebra) -> WedderburnInvariant:
     if not is_central_simple(a):
         raise ValueError("input is not central simple")
     mod, endo = minimal_graded_left_ideal(a)
-    support_elems = endo.support()
-    sub = Subgroup(
-        a.group,
-        frozenset(support_elems),
-        tuple(sorted(support_elems, key=lambda g: g.coords)),
-    )
+    sub = subgroup_from_members(a.group, endo.support())
     gens, orders, _ = subgroup_basis(sub)
     by_endo_degree = {
         endo.endo_degree(d): vs[0] for d, vs in endo.w_blocks.items()

@@ -1,8 +1,12 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from glim.abelian import (
     Character,
+    _unimodular_inverse,
     dual_and_orbits,
     group_new,
     perp,
@@ -144,6 +148,39 @@ def test_subgroup_basis_enumerates():
         for o in orders:
             total *= o
         assert total == sub.order
+
+
+def _gauss_jordan_inverse(M):
+    """Reference inverse over Q; every entry must come out an integer."""
+    k = len(M)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
+           for i, row in enumerate(M)]
+    for col in range(k):
+        piv = next(i for i in range(col, k) if aug[i][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for i in range(k):
+            if i != col and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    assert all(x.denominator == 1 for row in aug for x in row[k:])
+    return [[int(x) for x in row[k:]] for row in aug]
+
+
+def test_unimodular_inverse_matches_gauss_jordan():
+    rng = random.Random(5)
+    for _ in range(200):
+        k = rng.randint(1, 5)
+        # a product of random elementary operations and sign flips
+        M = [[int(i == j) for j in range(k)] for i in range(k)]
+        for _ in range(rng.randint(0, 12)):
+            i, j = rng.randrange(k), rng.randrange(k)
+            if i == j:
+                M[i] = [-x for x in M[i]]
+            else:
+                f = rng.randint(-3, 3)
+                M[i] = [x + f * y for x, y in zip(M[i], M[j])]
+        assert _unimodular_inverse(M) == _gauss_jordan_inverse(M)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 from glim.exactsolve import (
     hermite_basis,
-    integer_kernel,
     integer_solve,
     lp_feasible,
     nonneg_integer_solve,
@@ -77,13 +76,6 @@ def test_integer_solve_detects_infeasible():
     assert integer_solve([[2, 4]], [3]) is None
 
 
-def test_integer_kernel():
-    A = [[1, 2, 3]]
-    for v in integer_kernel(A):
-        assert sum(a * x for a, x in zip(A[0], v)) == 0
-    assert len(integer_kernel(A)) == 2
-
-
 def test_rational_solve_modes():
     assert rational_solve([[2]], [1]) == ("unique", [Fraction(1, 2)])
     status, _ = rational_solve([[1, 1]], [3])
@@ -101,14 +93,43 @@ def test_lp_feasible_simple():
     assert not ok
 
 
+def _full_column_rank_systems(rng, count):
+    """Square and tall systems of full column rank whose unique rational
+    solution y/d is nonnegative, negative or fractional."""
+    out = []
+    while len(out) < count:
+        k = rng.randint(1, 3)
+        m = rng.randint(k, k + 2)
+        A = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+        y = [rng.randint(-2, 6) for _ in range(k)]
+        d = rng.choice([1, 1, 2, 3])
+        b = [sum(a * v for a, v in zip(row, y)) for row in A]
+        A = [[d * a for a in row] for row in A]
+        if rational_solve(A, b)[0] == "unique":
+            out.append((A, b))
+    return out
+
+
 def test_nonneg_integer_solve_against_enumeration():
     rng = random.Random(3)
+    systems = []
     for _ in range(150):
         m = rng.randint(1, 3)
         k = rng.randint(1, 4)
         A = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
         b = [rng.randint(-6, 6) for _ in range(m)]
+        systems.append((A, b))
+    systems += _full_column_rank_systems(rng, 150)
+    seen = set()
+    for A, b in systems:
+        m, k = len(A), len(A[0])
         got = nonneg_integer_solve(A, b)
+        status, x = rational_solve(A, b)
+        if status == "unique":
+            integral = all(v.denominator == 1 for v in x)
+            nonneg = integral and all(v >= 0 for v in x)
+            assert got == ([int(v) for v in x] if nonneg else None)
+            seen.add((m == k, integral, nonneg))
         if got is not None:
             assert all(v >= 0 for v in got)
             assert [sum(A[i][j] * got[j] for j in range(k)) for i in range(m)] == b
@@ -118,6 +139,12 @@ def test_nonneg_integer_solve_against_enumeration():
                 assert any(
                     sum(A[i][j] * v[j] for j in range(k)) != b[i] for i in range(m)
                 )
+    # square and tall; unique solution nonnegative, negative and fractional
+    assert seen >= {
+        (square, integral, nonneg)
+        for square in (True, False)
+        for integral, nonneg in ((True, True), (True, False), (False, False))
+    }
 
 
 def test_nonneg_integer_solve_unbounded_direction():

@@ -204,12 +204,14 @@ def test_norm_obstruction_with_a_bad_prime_does_not_replay(trivial_group):
 
 def test_norm_obstruction_finds_a_large_prime(trivial_group):
     k = k0_realization(uhf(trivial_group, 2))
-    p = 1000000007
-    z = ProjCoords(trivial_group, k.orbits, (get_field(1).scalar(Fraction(1, p)),))
-    r = in_k_group(k, z, 4)
-    assert r.verdict == "no"
-    assert r.certificate["prime"] == p and r.certificate["value_valuation"] == -1
-    assert verify_member_certificate(k, z, r.verdict, r.certificate)
+    # a prime, then a product of two primes past the trial-division cap,
+    # which the certificate names whole
+    for p in (1000000007, 1000000000039 * 1000000000061):
+        z = ProjCoords(trivial_group, k.orbits, (get_field(1).scalar(Fraction(1, p)),))
+        r = in_k_group(k, z, 4)
+        assert r.verdict == "no"
+        assert r.certificate["prime"] == p and r.certificate["value_valuation"] == -1
+        assert verify_member_certificate(k, z, r.verdict, r.certificate)
 
 
 def test_member_k_plus_examples(trivial_group):
