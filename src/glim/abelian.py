@@ -184,29 +184,61 @@ def subgroup_intersection(a: Subgroup, b: Subgroup) -> Subgroup:
     return subgroup_from_members(a.parent, a.elements & b.elements)
 
 
+def _addition_table(group: FinAbGroup) -> list[list[int]]:
+    """``add[a][b]`` is the index of the product of elements a and b, where an
+    element's index is its position in ``group.elements()`` (mixed radix over
+    the factors, the last one fastest)."""
+    add = [[0]]
+    for d in group.factors:
+        n = len(add) * d
+        add = [
+            [add[a // d][b // d] * d + (a % d + b % d) % d for b in range(n)]
+            for a in range(n)
+        ]
+    return add
+
+
 @lru_cache(maxsize=None)
 def all_subgroups(group: FinAbGroup) -> tuple[Subgroup, ...]:
-    """Every subgroup of ``group``, by closure saturation."""
-    found: dict[frozenset[GroupElem], Subgroup] = {}
-    triv = trivial_subgroup(group)
-    found[triv.elements] = triv
-    frontier = [triv]
+    """Every subgroup of ``group``, ordered by order, then by sorted elements.
+
+    Every subgroup is a join of cyclic subgroups, so saturating the trivial
+    subgroup under joins with the distinct cyclic subgroups finds them all.
+    The search runs on element indices; a join S + C is |S|*|C| lookups in
+    the addition table.  Breadth first, a subgroup's generators are those of
+    the subgroup it was first reached from plus the first element (in
+    coordinate order) generating the cyclic subgroup joined.
+    """
+    elems = group.elements()
+    add = _addition_table(group)
+    cyclic: dict[frozenset[int], int] = {}
+    for g in range(len(elems)):
+        members, x = {0}, g
+        while x:
+            members.add(x)
+            x = add[x][g]
+        cyclic.setdefault(frozenset(members), g)
+    trivial = frozenset({0})
+    found: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
+    frontier = [trivial]
     while frontier:
         nxt = []
         for sub in frontier:
-            for g in group.elements():
-                if g in sub.elements:
+            for cyc, g in cyclic.items():
+                if g in sub:
                     continue
-                bigger = subgroup_from_generators(group, sub.generators + (g,))
-                if bigger.elements not in found:
-                    found[bigger.elements] = bigger
+                bigger = frozenset([add[s][c] for s in sub for c in cyc])
+                if bigger not in found:
+                    found[bigger] = found[sub] + (g,)
                     nxt.append(bigger)
         frontier = nxt
     return tuple(
-        sorted(
-            found.values(),
-            key=lambda s: (s.order, sorted(g.coords for g in s.elements)),
+        Subgroup(
+            group,
+            frozenset(elems[i] for i in sub),
+            tuple(elems[g] for g in found[sub]),
         )
+        for sub in sorted(found, key=lambda s: (len(s), sorted(s)))
     )
 
 

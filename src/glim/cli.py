@@ -34,6 +34,9 @@ from . import limits as _limits
 from . import oracle as _oracle
 
 
+MAX_GROUP_ORDER = 64  # the documented scale: subgroups are enumerated in full
+
+
 class DescriptorError(ValueError):
     """A parse or validation error, annotated with the offending key path."""
 
@@ -71,7 +74,12 @@ def _parse_group(payload, path: str) -> FinAbGroup:
         raise DescriptorError(path, "group must be a nonempty list of cyclic factors")
     if any(not isinstance(d, int) or d < 1 for d in payload):
         raise DescriptorError(path, "cyclic factors must be positive integers")
-    return FinAbGroup(tuple(payload))
+    group = FinAbGroup(tuple(payload))
+    if group.order > MAX_GROUP_ORDER:
+        raise DescriptorError(
+            path, f"group order {group.order} exceeds the supported {MAX_GROUP_ORDER}"
+        )
+    return group
 
 
 def _parse_division(group: FinAbGroup, payload, path: str) -> DivisionClass:

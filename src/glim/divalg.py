@@ -92,17 +92,24 @@ class Bicharacter:
         _, _, coords = subgroup_basis(self.subgroup)
         return _form(self.matrix, coords[s], coords[t], self.conductor)
 
-    def radical(self) -> Subgroup:
-        members = [
+    def _radical_members(self) -> list[GroupElem]:
+        """Elements t with beta(t, s) = 1 for every s: by bilinearity, those
+        with beta(t, g_j) = 1 for each basis generator g_j."""
+        _, _, coords = subgroup_basis(self.subgroup)
+        n = self.conductor
+        columns = list(zip(*self.matrix))
+        return [
             t
-            for t in self.subgroup.elements
-            if all(self.exponent_of(t, s) == 0 for s in self.subgroup.elements)
+            for t, c in coords.items()
+            if all(sum(a * m for a, m in zip(c, col)) % n == 0 for col in columns)
         ]
-        return subgroup_from_members(self.subgroup.parent, members)
+
+    def radical(self) -> Subgroup:
+        return subgroup_from_members(self.subgroup.parent, self._radical_members())
 
     @property
     def is_nondegenerate(self) -> bool:
-        return self.radical().order == 1
+        return len(self._radical_members()) == 1
 
     def inverse(self) -> "Bicharacter":
         n = self.conductor

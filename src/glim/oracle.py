@@ -186,10 +186,16 @@ class FiniteGradedAlgebra:
             generators = tuple({i: self.field.one} for i in range(self.dim))
         self.generators = tuple(dict(g) for g in generators)
         m = len(self.roots)
+        # the degree rule on indices of the distinct degrees: one group
+        # product per pair of degrees, not per cell
+        index: dict[GroupElem, int] = {}
+        deg = [index.setdefault(g, len(index)) for g in degrees]
+        kinds = list(index)
+        rule = [[index.get(a * b, -1) for b in kinds] for a in kinds]
         for (i, j), (k, e) in table.items():
             if not (0 <= k < self.dim and 0 <= e < m):
                 raise ValueError("structure-constant cell out of range")
-            if degrees[k] != degrees[i] * degrees[j]:
+            if deg[k] != rule[deg[i]][deg[j]]:
                 raise ValueError("structure constants violate the grading")
         for i in range(self.dim):
             e_i = {i: self.field.one}

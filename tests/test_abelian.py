@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from glim.abelian import (
     Character,
+    Subgroup,
+    _addition_table,
     _unimodular_inverse,
     dual_and_orbits,
     group_new,
@@ -64,6 +66,76 @@ def test_subgroup_from_generators_examples():
     g = group_new([4, 2])
     sub = subgroup_from_generators(g, [g.element((2, 0))])
     assert sorted(e.coords for e in sub.elements) == [(0, 0), (2, 0)]
+
+
+def _closure_saturation_subgroups(group):
+    """Reference enumeration: from each subgroup found, close its generators
+    together with every element it lacks, breadth first."""
+    found = {}
+    triv = trivial_subgroup(group)
+    found[triv.elements] = triv
+    frontier = [triv]
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for g in group.elements():
+                if g in sub.elements:
+                    continue
+                bigger = subgroup_from_generators(group, sub.generators + (g,))
+                if bigger.elements not in found:
+                    found[bigger.elements] = bigger
+                    nxt.append(bigger)
+        frontier = nxt
+    return tuple(
+        sorted(
+            found.values(),
+            key=lambda s: (s.order, sorted(g.coords for g in s.elements)),
+        )
+    )
+
+
+ENUMERATED_GROUPS = [
+    (1,), (9,), (2, 2), (4, 2), (2, 2, 2), (3, 3), (6, 2), (8, 2), (4, 4),
+    (4, 2, 2), (2, 2, 2, 2),
+]
+
+
+@pytest.mark.parametrize("factors", ENUMERATED_GROUPS)
+def test_all_subgroups_matches_closure_saturation(factors):
+    g = group_new(factors)
+    got = all_subgroups(g)
+    want = _closure_saturation_subgroups(g)
+    assert [s.elements for s in got] == [s.elements for s in want]
+    assert [s.generators for s in got] == [s.generators for s in want]
+
+
+def test_all_subgroups_counts_of_the_oracle_groups():
+    counts = {
+        (2, 2, 2): 16, (4, 2, 2): 27, (6, 2): 10, (8, 2): 11, (4, 4): 15,
+        (2, 2, 2, 2): 67, (3, 3): 6,
+    }
+    for factors, n in counts.items():
+        assert len(all_subgroups(group_new(factors))) == n
+
+
+def test_addition_table_indexes_elements_in_coordinate_order():
+    for factors in [[1], [6], [4, 2], [2, 3, 2]]:
+        g = group_new(factors)
+        elems = g.elements()
+        add = _addition_table(g)
+        for a, x in enumerate(elems):
+            assert [elems[c] for c in add[a]] == [x * y for y in elems]
+
+
+def test_subgroup_rejects_sets_that_are_not_subgroups():
+    z4 = group_new([4])
+    with pytest.raises(ValueError, match="identity"):
+        Subgroup(z4, frozenset({z4.element((2,))}))
+    with pytest.raises(ValueError, match="inverses"):
+        Subgroup(z4, frozenset({z4.element((0,)), z4.element((1,))}))
+    klein = group_new([2, 2])
+    with pytest.raises(ValueError, match="products"):
+        Subgroup(klein, frozenset(klein.element(c) for c in [(0, 0), (1, 0), (0, 1)]))
 
 
 def test_quotient_examples():

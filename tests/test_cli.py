@@ -108,6 +108,25 @@ def test_parse_error_reports_location(tmp_path, capsys):
     assert main(["standard-form", str(path)]) == 2
 
 
+@pytest.mark.parametrize("factors", [[128], [2] * 7])
+def test_group_over_the_supported_order_is_an_error(tmp_path, capsys, factors):
+    label = [{"elem": [0] * len(factors), "mult": 1}]
+    big = write(
+        tmp_path, "big.json", {"group": factors, "x0": label, "cycle_labels": [label]}
+    )
+    assert main(["standard-form", big]) == 2
+    err = capsys.readouterr().err
+    assert "big.json.group: group order 128 exceeds the supported 64" in err
+
+
+def test_group_of_the_supported_order_is_accepted(tmp_path, capsys):
+    label = [{"elem": [0, 0], "mult": 2}]
+    edge = write(
+        tmp_path, "edge.json", {"group": [8, 8], "x0": label, "cycle_labels": [label]}
+    )
+    assert main(["standard-form", edge]) == 0
+
+
 def test_iso_exit_codes(files, capsys):
     code, out = run(capsys, "iso", files["a"], files["a"], "--json")
     assert code == 0

@@ -1,6 +1,15 @@
+import itertools
+from math import gcd
+
 import pytest
 
-from glim.abelian import group_new, perp_of_subgroup, subgroup_from_generators
+from glim.abelian import (
+    all_subgroups,
+    group_new,
+    perp_of_subgroup,
+    subgroup_basis,
+    subgroup_from_generators,
+)
 from glim.divalg import (
     Bicharacter,
     DivisionClass,
@@ -26,6 +35,37 @@ def test_radical_examples(klein, klein_full, pauli):
     triv_bichar = Bicharacter.trivial(klein_full)
     assert radical(triv_bichar).order == 4
     assert radical(z44_class(1).bichar).order == 1
+
+
+def _candidate_bicharacters(group):
+    """Every bicharacter ``enumerate_division_classes`` tries over the
+    group, degenerate ones included."""
+    n = group.exponent
+    for sub in all_subgroups(group):
+        _gens, orders, _ = subgroup_basis(sub)
+        r = len(orders)
+        slots = [(i, j) for i in range(r) for j in range(i + 1, r)]
+        choices = [range(gcd(orders[i], orders[j])) for i, j in slots]
+        for combo in itertools.product(*choices):
+            mat = [[0] * r for _ in range(r)]
+            for (i, j), u in zip(slots, combo):
+                step = n // gcd(orders[i], orders[j])
+                mat[i][j] = (u * step) % n
+                mat[j][i] = (-u * step) % n
+            yield Bicharacter(sub, tuple(tuple(row) for row in mat))
+
+
+@pytest.mark.parametrize("factors", [(4, 2, 2), (4, 4), (2, 2, 2, 2)])
+def test_radical_matches_the_all_pairs_definition(factors):
+    tried = degenerate = 0
+    for b in _candidate_bicharacters(group_new(factors)):
+        T = b.subgroup.elements
+        want = {t for t in T if all(b.exponent_of(t, s) == 0 for s in T)}
+        assert b.radical().elements == want
+        assert b.is_nondegenerate == (len(want) == 1)
+        tried += 1
+        degenerate += len(want) > 1
+    assert tried > degenerate > 0
 
 
 def test_degenerate_bicharacter_is_not_a_class(klein_full):

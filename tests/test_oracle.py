@@ -262,6 +262,32 @@ def test_cell_with_exponent_out_of_range_is_rejected():
             _with_cell(alg, lambda cell: (cell[0], bad_exponent))
 
 
+def test_cell_in_the_wrong_degree_is_rejected():
+    alg = _twisted_z42()  # one basis element per degree
+    e = alg.degrees.index(alg.group.identity)
+    i, j = [k for k in range(alg.dim) if k != e][:2]
+    k = alg.table[(i, j)][0]
+    for wrong in range(alg.dim):
+        if wrong != k:
+            with pytest.raises(ValueError, match="constants violate the grading"):
+                _with_cell(alg, lambda cell: (wrong, cell[1]))
+
+
+def test_degree_rule_compares_degrees_not_basis_indices():
+    klein = group_new([2, 2])
+    x = GroupRingElem.from_dict(klein, {klein.identity: 1, klein.element((1, 0)): 1})
+    alg = build_matrix(x)  # E_00 and E_11 both have the identity degree
+    assert alg.degrees[0] == alg.degrees[3] == klein.identity
+    table = dict(alg.table)
+    assert table[(1, 2)] == (0, 0)  # E_01 E_10 = E_00
+    table[(1, 2)] = (3, 0)  # E_01 E_10 moved to the other basis element of its degree
+    with pytest.raises(ValueError, match="associativity fails"):
+        FiniteGradedAlgebra(klein, alg.degrees, table, alg.unit)
+    table[(1, 2)] = (1, 0)  # to a basis element of degree (1, 0)
+    with pytest.raises(ValueError, match="violate the grading"):
+        FiniteGradedAlgebra(klein, alg.degrees, table, alg.unit)
+
+
 # ---------------------------------------------------------------------------
 # the tracked echelon
 
