@@ -13,11 +13,12 @@ from .abelian import (
     Subgroup,
     dual_and_orbits,
     group_new,
-    perp,
+    perp_of_orbits,
+    perp_of_subgroup,
     quotient,
     subgroup_from_generators,
 )
-from .cyclotomic import CycNum, CyclotomicField, get_field, norm_to_q, root_of_unity
+from .cyclotomic import CycNum, CyclotomicField, get_field
 from .divalg import (
     Bicharacter,
     BrauerClass,
@@ -27,14 +28,13 @@ from .divalg import (
     brauer_mul,
     enumerate_division_classes,
     op_class,
-    radical,
 )
 from .groupring import (
     GroupRingElem,
     ProjCoords,
     char_eval,
-    cone_member,
-    lattice_member,
+    cone_preimage,
+    lattice_preimage,
     orbit_idempotent,
     project,
     subgroup_sum,

@@ -144,23 +144,32 @@ class Subgroup:
         return f"Subgroup(order {self.order} of {self.parent})"
 
 
-def subgroup_from_generators(group: FinAbGroup, gens) -> Subgroup:
+def generator_words(group: FinAbGroup, gens) -> dict[GroupElem, tuple[int, ...]]:
+    """Every element of the span of ``gens``, with the first exponent word
+    (one nonnegative exponent per generator) a breadth-first search over the
+    generators reaches it by."""
     gens = tuple(gens)
     for g in gens:
         if g.group != group:
             raise ValueError("generator belongs to a different group")
-    seen = {group.identity}
+    words = {group.identity: (0,) * len(gens)}
     frontier = [group.identity]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in gens:
+            w = words[x]
+            for i, g in enumerate(gens):
                 y = x * g
-                if y not in seen:
-                    seen.add(y)
+                if y not in words:
+                    words[y] = w[:i] + (w[i] + 1,) + w[i + 1 :]
                     nxt.append(y)
         frontier = nxt
-    return Subgroup(group, frozenset(seen), gens)
+    return words
+
+
+def subgroup_from_generators(group: FinAbGroup, gens) -> Subgroup:
+    gens = tuple(gens)
+    return Subgroup(group, frozenset(generator_words(group, gens)), gens)
 
 
 def trivial_subgroup(group: FinAbGroup) -> Subgroup:
@@ -252,47 +261,30 @@ def subgroup_basis(sub: Subgroup):
     """
     G = sub.parent
     k = len(G.factors)
-    if sub.order == 1:
-        return (), (), {G.identity: ()}
-    rows = [list(g.coords) for g in sub.sorted_elements()]
-    rows += [
-        [G.factors[i] if j == i else 0 for j in range(k)] for i in range(k)
-    ]
-    B = hermite_basis(rows)
+    D = [[G.factors[i] if j == i else 0 for j in range(k)] for i in range(k)]
+    B = hermite_basis([list(g.coords) for g in sub.sorted_elements()] + D)
     assert len(B) == k, "subgroup lattice must have full rank"
     # W = D * B^{-1} over Z, rows span the kernel of Z^k -> sub, v -> v*B
-    W = []
-    for i in range(k):
-        target = [G.factors[i] if j == i else 0 for j in range(k)]
-        row = _solve_row_upper(B, target)
-        W.append(row)
-    S, _U, V = smith_normal_form(W)
-    Vinv = _unimodular_inverse(V)
+    W = [_solve_row_upper(B, row) for row in D]
+    # U W V = S and W = D B^-1 give U D = S V^-1 B: the rows of V^-1 B, read
+    # off U D, with S_ii > 1 are independent generators of orders S_ii
+    S, U, _V = smith_normal_form(W)
     gens = []
     orders = []
     for i in range(k):
-        d = S[i][i] if i < len(S) else 0
+        d = S[i][i]
         assert d != 0, "subgroup quotient must be finite"
         if d == 1:
             continue
-        vec = [sum(Vinv[i][t] * B[t][j] for t in range(k)) for j in range(k)]
-        gens.append(G.element(vec))
+        row = [U[i][j] * G.factors[j] for j in range(k)]
+        assert all(x % d == 0 for x in row), "U*D is not S times an integer matrix"
+        gens.append(G.element([x // d for x in row]))
         orders.append(d)
-    coords: dict[GroupElem, tuple[int, ...]] = {}
-    for tup in itertools.product(*(range(o) for o in orders)):
-        elem = G.identity
-        for g, c in zip(gens, tup):
-            elem = elem * (g**c)
-        coords[elem] = tup
+    # over independent generators the first word reached is the reduced
+    # exponent tuple, each coordinate below its generator's order
+    coords = generator_words(G, gens)
     assert len(coords) == sub.order, "basis does not enumerate the subgroup"
     return tuple(gens), tuple(orders), coords
-
-
-def _unimodular_inverse(V: list[list[int]]) -> list[list[int]]:
-    """V^-1 = Q P from V's own Smith form P V Q = I."""
-    _I, P, Q = smith_normal_form(V)
-    k = len(V)
-    return [[sum(Q[i][t] * P[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
 
 
 def _solve_row_upper(B: list[list[int]], target: list[int]) -> list[int]:
@@ -430,11 +422,6 @@ class CharOrbit:
         return f"Orbit({self.representative}, size {self.field_degree})"
 
 
-def dual_group(group: FinAbGroup) -> FinAbGroup:
-    """The dual group, identified with G through exponent coordinates."""
-    return FinAbGroup(group.factors)
-
-
 @lru_cache(maxsize=None)
 def dual_and_orbits(group: FinAbGroup) -> tuple[CharOrbit, ...]:
     """All characters of G partitioned into Galois orbits, trivial orbit first."""
@@ -456,23 +443,16 @@ def dual_and_orbits(group: FinAbGroup) -> tuple[CharOrbit, ...]:
     return tuple(orbits)
 
 
-def perp(group: FinAbGroup, arg):
-    """Annihilator: a subgroup of G gives T-perp in the dual group; a set of
-    character orbits gives S-perp in G."""
-    if isinstance(arg, Subgroup):
-        return perp_of_subgroup(arg)
-    return perp_of_orbits(group, arg)
-
-
 def perp_of_subgroup(sub: Subgroup) -> Subgroup:
+    """T-perp in the dual group, which is identified with G through exponent
+    coordinates."""
     G = sub.parent
-    dual = dual_group(G)
-    members = []
-    for m in dual.elements():
-        chi = Character(G, m.coords)
-        if all(chi.value_exponent(t) == 0 for t in sub.elements):
-            members.append(m)
-    return subgroup_from_members(dual, members)
+    members = [
+        m
+        for m in G.elements()
+        if all(Character(G, m.coords).value_exponent(t) == 0 for t in sub.elements)
+    ]
+    return subgroup_from_members(G, members)
 
 
 def perp_of_orbits(group: FinAbGroup, orbits) -> Subgroup:

@@ -45,6 +45,17 @@ class DescriptorError(ValueError):
         self.path = path
 
 
+def _ints(payload, n: int, path: str) -> tuple[int, ...]:
+    """A list of exactly n integers; a float, string or bool is an error, never
+    converted."""
+    if not isinstance(payload, list) or len(payload) != n:
+        raise DescriptorError(path, f"expected a list of {n} integers")
+    for i, x in enumerate(payload):
+        if type(x) is not int:
+            raise DescriptorError(f"{path}[{i}]", "expected an integer")
+    return tuple(payload)
+
+
 def _parse_label(group: FinAbGroup, payload, path: str) -> GroupRingElem:
     if not isinstance(payload, list) or not payload:
         raise DescriptorError(path, "label must be a nonempty list of terms")
@@ -53,15 +64,10 @@ def _parse_label(group: FinAbGroup, payload, path: str) -> GroupRingElem:
         tpath = f"{path}[{i}]"
         if not isinstance(term, dict) or "elem" not in term or "mult" not in term:
             raise DescriptorError(tpath, "term must have 'elem' and 'mult'")
-        coords = term["elem"]
-        if not isinstance(coords, list) or len(coords) != len(group.factors):
-            raise DescriptorError(
-                f"{tpath}.elem", f"expected {len(group.factors)} coordinates"
-            )
+        g = group.element(_ints(term["elem"], len(group.factors), f"{tpath}.elem"))
         mult = term["mult"]
-        if not isinstance(mult, int) or mult <= 0:
+        if type(mult) is not int or mult <= 0:
             raise DescriptorError(f"{tpath}.mult", "multiplicity must be a positive integer")
-        g = group.element(tuple(coords))
         data[g] = data.get(g, 0) + mult
     z = GroupRingElem.from_dict(group, {g: Fraction(m) for g, m in data.items()})
     if z.is_zero:
@@ -72,9 +78,10 @@ def _parse_label(group: FinAbGroup, payload, path: str) -> GroupRingElem:
 def _parse_group(payload, path: str) -> FinAbGroup:
     if not isinstance(payload, list) or not payload:
         raise DescriptorError(path, "group must be a nonempty list of cyclic factors")
-    if any(not isinstance(d, int) or d < 1 for d in payload):
+    factors = _ints(payload, len(payload), path)
+    if any(d < 1 for d in factors):
         raise DescriptorError(path, "cyclic factors must be positive integers")
-    group = FinAbGroup(tuple(payload))
+    group = FinAbGroup(factors)
     if group.order > MAX_GROUP_ORDER:
         raise DescriptorError(
             path, f"group order {group.order} exceeds the supported {MAX_GROUP_ORDER}"
@@ -83,25 +90,27 @@ def _parse_group(payload, path: str) -> FinAbGroup:
 
 
 def _parse_division(group: FinAbGroup, payload, path: str) -> DivisionClass:
+    if not isinstance(payload, dict):
+        raise DescriptorError(path, "expected a JSON object")
     for key in ("support_gens", "beta", "zeta_order"):
         if key not in payload:
             raise DescriptorError(path, f"missing key '{key}'")
     gens_raw = payload["support_gens"]
     if not isinstance(gens_raw, list):
         raise DescriptorError(f"{path}.support_gens", "expected a list of elements")
-    gens = []
-    for i, coords in enumerate(gens_raw):
-        if not isinstance(coords, list) or len(coords) != len(group.factors):
-            raise DescriptorError(
-                f"{path}.support_gens[{i}]",
-                f"expected {len(group.factors)} coordinates",
-            )
-        gens.append(group.element(tuple(coords)))
+    gens = [
+        group.element(_ints(c, len(group.factors), f"{path}.support_gens[{i}]"))
+        for i, c in enumerate(gens_raw)
+    ]
     zo = payload["zeta_order"]
-    if not isinstance(zo, int) or zo < 1:
+    if type(zo) is not int or zo < 1:
         raise DescriptorError(f"{path}.zeta_order", "must be a positive integer")
+    beta = payload["beta"]
+    if not isinstance(beta, list) or len(beta) != len(gens):
+        raise DescriptorError(f"{path}.beta", f"expected a list of {len(gens)} rows")
+    rows = [_ints(row, len(gens), f"{path}.beta[{i}]") for i, row in enumerate(beta)]
     try:
-        bichar = bicharacter_from_generator_data(group, gens, payload["beta"], zo)
+        bichar = bicharacter_from_generator_data(group, gens, rows, zo)
         return DivisionClass(bichar)
     except (ValueError, AssertionError) as exc:
         raise DescriptorError(f"{path}.beta", str(exc)) from exc
@@ -115,9 +124,12 @@ def parse_descriptor(payload: dict, path: str = "descriptor") -> LimitDescriptor
             raise DescriptorError(path, f"missing key '{key}'")
     group = _parse_group(payload["group"], f"{path}.group")
     x0 = _parse_label(group, payload["x0"], f"{path}.x0")
+    prefix_raw = payload.get("prefix_labels", [])
+    if not isinstance(prefix_raw, list):
+        raise DescriptorError(f"{path}.prefix_labels", "expected a list of labels")
     prefix = tuple(
         _parse_label(group, lbl, f"{path}.prefix_labels[{i}]")
-        for i, lbl in enumerate(payload.get("prefix_labels", []))
+        for i, lbl in enumerate(prefix_raw)
     )
     cycle_raw = payload["cycle_labels"]
     if not isinstance(cycle_raw, list) or not cycle_raw:
@@ -157,10 +169,6 @@ def load_division(path: str) -> DivisionClass:
     return _parse_division(group, payload, path)
 
 
-def serialize_label(z: GroupRingElem) -> list[dict]:
-    return elem_payload(z)
-
-
 def serialize_division(d: DivisionClass) -> dict:
     gens, _orders, _ = subgroup_basis(d.support)
     return {
@@ -173,9 +181,9 @@ def serialize_division(d: DivisionClass) -> dict:
 def serialize_descriptor(d: LimitDescriptor) -> dict:
     out = {
         "group": list(d.group.factors),
-        "x0": serialize_label(d.x0),
-        "prefix_labels": [serialize_label(a) for a in d.prefix],
-        "cycle_labels": [serialize_label(a) for a in d.cycle],
+        "x0": elem_payload(d.x0),
+        "prefix_labels": [elem_payload(a) for a in d.prefix],
+        "cycle_labels": [elem_payload(a) for a in d.cycle],
     }
     if d.division is not None:
         out["division"] = serialize_division(d.division)
@@ -206,13 +214,9 @@ def cmd_standard_form(args) -> int:
     return 0
 
 
-def _verdict_exit(result: TriBool, args, payload_extra=None, checker=None) -> int:
+def _verdict_exit(result: TriBool, args, checker) -> int:
     payload = {"verdict": result.verdict, "certificate": result.certificate}
-    if payload_extra:
-        payload.update(payload_extra)
     if args.check_certificate and result.is_certified:
-        if checker is None:
-            raise DescriptorError("certificate", "no replay available for this command")
         ok = checker(result)
         payload["certificate_ok"] = ok
         if not ok:
@@ -236,7 +240,7 @@ def cmd_iso(args) -> int:
         checker = lambda r: verify_general_iso_certificate(
             a, b, r.verdict, r.certificate
         )
-    return _verdict_exit(result, args, checker=checker)
+    return _verdict_exit(result, args, checker)
 
 
 def cmd_absorbs(args) -> int:
@@ -246,10 +250,15 @@ def cmd_absorbs(args) -> int:
         raise DescriptorError("group", "division class over a different group")
     result = _limits.absorbs(d, cls, args.budget)
     checker = lambda r: verify_absorbs_certificate(d, cls, r.verdict, r.certificate)
-    return _verdict_exit(result, args, checker=checker)
+    return _verdict_exit(result, args, checker)
 
 
 def cmd_brauer(args) -> int:
+    want = {"mul": 2, "inv": 1, "equiv": 3}[args.op]
+    if len(args.files) != want:
+        raise DescriptorError(
+            "files", f"brauer {args.op} takes {want} files, got {len(args.files)}"
+        )
     if args.op == "mul":
         d1 = load_division(args.files[0])
         d2 = load_division(args.files[1])
@@ -258,7 +267,7 @@ def cmd_brauer(args) -> int:
         e_class, y, h = brauer_mul(d1, d2)
         payload = {
             "E": serialize_division(e_class),
-            "y": serialize_label(y),
+            "y": elem_payload(y),
             "H": [list(g.coords) for g in h.sorted_elements()],
         }
         _emit(payload, args.json)
@@ -270,8 +279,6 @@ def cmd_brauer(args) -> int:
         _emit({"E": serialize_division(op_class(d1))}, args.json)
         return 0
     # equiv: two classes relative to a limit descriptor
-    if len(args.files) < 3:
-        raise DescriptorError("files", "equiv needs two division files and a descriptor")
     d1 = load_division(args.files[0])
     d2 = load_division(args.files[1])
     desc = load_descriptor(args.files[2])
@@ -287,7 +294,7 @@ def cmd_brauer(args) -> int:
         e_class, _y, _h = brauer_mul(d1, d2)
         return verify_absorbs_k0_certificate(k0, e_class, r.verdict, r.certificate)
 
-    return _verdict_exit(result, args, checker=checker)
+    return _verdict_exit(result, args, checker)
 
 
 # every abelian group of order <= 16 except (Z2)^4, whose several thousand

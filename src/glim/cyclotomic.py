@@ -301,12 +301,3 @@ class CycNum:
             else:
                 parts.append(f"{c}*z^{i}" if c != 1 else f"z^{i}")
         return " + ".join(parts)
-
-
-def root_of_unity(n: int, k: int) -> CycNum:
-    """zeta_n^k as an exact element of Q(zeta_n)."""
-    return get_field(n).zeta(k)
-
-
-def norm_to_q(x: CycNum) -> Fraction:
-    return x.norm_to_q()

@@ -22,9 +22,8 @@ from .abelian import (
     FinAbGroup,
     GroupElem,
     Subgroup,
-    dual_group,
+    generator_words,
     subgroup_basis,
-    subgroup_from_generators,
     subgroup_from_members,
     subgroup_intersection,
     subgroup_join,
@@ -135,21 +134,8 @@ def bicharacter_from_generator_data(
     if len(matrix) != m or any(len(row) != m for row in matrix):
         raise ValueError("beta matrix shape does not match the generator count")
     M = [[(int(x) * scale) % n for x in row] for row in matrix]
-    sub = subgroup_from_generators(group, gens)
-    # a word in the generators for every subgroup element (breadth first)
-    words: dict[GroupElem, tuple[int, ...]] = {group.identity: (0,) * m}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for i, g in enumerate(gens):
-                y = x * g
-                if y not in words:
-                    w = list(words[x])
-                    w[i] += 1
-                    words[y] = tuple(w)
-                    nxt.append(y)
-        frontier = nxt
+    words = generator_words(group, gens)
+    sub = Subgroup(group, frozenset(words), tuple(gens))
 
     def pairing(a: GroupElem, b: GroupElem) -> int:
         return _form(M, words[a], words[b], n)
@@ -171,10 +157,6 @@ def bicharacter_from_generator_data(
     return Bicharacter(sub, canon)
 
 
-def radical(bichar: Bicharacter) -> Subgroup:
-    return bichar.radical()
-
-
 @dataclass(frozen=True)
 class DivisionClass:
     """A central simple graded-division algebra up to isomorphism."""
@@ -184,7 +166,7 @@ class DivisionClass:
     def __post_init__(self):
         if not self.bichar.is_nondegenerate:
             raise ValueError("division class requires a nondegenerate bicharacter")
-        orders = _invariant_factors(self.support)
+        _, orders, _ = subgroup_basis(self.support)
         if any(orders.count(o) % 2 for o in set(orders)):
             raise AssertionError(
                 "support of a nondegenerate class must be a product of squares"
@@ -210,11 +192,6 @@ class DivisionClass:
 
     def __repr__(self) -> str:
         return f"DivisionClass(T order {self.support.order} of {self.group})"
-
-
-def _invariant_factors(sub: Subgroup) -> list[int]:
-    _, orders, _ = subgroup_basis(sub)
-    return sorted(orders)
 
 
 def op_class(d: DivisionClass) -> DivisionClass:
@@ -261,18 +238,18 @@ class BrauerClass:
         )
 
     def radical_dual(self) -> Subgroup:
-        """Characters psi with B(., psi) trivial, as a subgroup of the dual."""
-        dual = dual_group(self.group)
+        """Characters psi with B(., psi) trivial, as a subgroup of the dual
+        (identified with G through exponent coordinates)."""
         k = len(self.group.factors)
         units = [
             tuple(int(i == j) for j in range(k)) for i in range(k)
         ]
         members = [
             m
-            for m in dual.elements()
+            for m in self.group.elements()
             if all(self.value_exponent(u, m.coords) == 0 for u in units)
         ]
-        return subgroup_from_members(dual, members)
+        return subgroup_from_members(self.group, members)
 
 
 def brauer_lift(d: DivisionClass) -> BrauerClass:
@@ -308,10 +285,9 @@ def brauer_unlift(b: BrauerClass) -> tuple[Subgroup, Bicharacter]:
     """Reconstruct (support, beta) of the division class with lift ``b``."""
     G = b.group
     n = G.exponent
-    dual = dual_group(G)
     k = len(G.factors)
     carrier: dict[GroupElem, GroupElem] = {}
-    for psi in dual.elements():
+    for psi in G.elements():
         coords = []
         for i in range(k):
             chi_i = tuple(int(i == j) for j in range(k))

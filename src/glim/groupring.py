@@ -298,11 +298,3 @@ def lattice_preimage(target: ProjCoords) -> GroupRingElem | None:
 def cone_preimage(target: ProjCoords) -> GroupRingElem | None:
     """Some z in Z>=0 G with the given projection, or None (complete)."""
     return _preimage(target, nonneg_integer_solve)
-
-
-def lattice_member(target: ProjCoords) -> bool:
-    return lattice_preimage(target) is not None
-
-
-def cone_member(target: ProjCoords) -> bool:
-    return cone_preimage(target) is not None

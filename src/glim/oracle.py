@@ -26,7 +26,13 @@ from .abelian import (
     subgroup_from_members,
 )
 from .cyclotomic import CycNum, get_field
-from .divalg import Bicharacter, DivisionClass, brauer_mul, enumerate_division_classes
+from .divalg import (
+    Bicharacter,
+    DivisionClass,
+    _form,
+    brauer_mul,
+    enumerate_division_classes,
+)
 from .groupring import GroupRingElem
 
 DIM_CAP = 4096
@@ -330,19 +336,11 @@ def build_twisted(bichar: Bicharacter) -> FiniteGradedAlgebra:
     elems = sub.sorted_elements()
     index = {g: i for i, g in enumerate(elems)}
     r = len(gens)
-
-    def cocycle_exp(cs, ct) -> int:
-        total = 0
-        for i in range(r):
-            for j in range(r):
-                if i > j:
-                    total += bichar.matrix[i][j] * cs[i] * ct[j]
-        return total % n
-
+    lower = [row[:i] + (0,) * (r - i) for i, row in enumerate(bichar.matrix)]
     table: dict = {}
     for s in elems:
         for t in elems:
-            exp = cocycle_exp(coords[s], coords[t])
+            exp = _form(lower, coords[s], coords[t], n)
             table[(index[s], index[t])] = (index[s * t], 2 * exp)
     unit = {index[G.identity]: fld.one}
     gen_vecs = tuple({index[g]: fld.one} for g in gens) or (dict(unit),)
@@ -351,17 +349,9 @@ def build_twisted(bichar: Bicharacter) -> FiniteGradedAlgebra:
     return FiniteGradedAlgebra(G, tuple(elems), table, unit, generators=gen_vecs)
 
 
-def _as_bichar(division) -> Bicharacter | None:
-    if division is None:
-        return None
-    if isinstance(division, DivisionClass):
-        return division.bichar
-    if isinstance(division, Bicharacter):
-        return division
-    raise TypeError("expected a division class or bicharacter")
-
-
-def build_matrix(x: GroupRingElem, division=None) -> FiniteGradedAlgebra:
+def build_matrix(
+    x: GroupRingElem, division: DivisionClass | None = None
+) -> FiniteGradedAlgebra:
     """M_x over the base field or over a graded-division algebra D.
 
     The matrix units E_pq multiply as E_pq E_qr = E_pr and have degree
@@ -373,12 +363,11 @@ def build_matrix(x: GroupRingElem, division=None) -> FiniteGradedAlgebra:
     if not x.is_nonneg_integer:
         raise ValueError("matrix multiset must be a nonnegative integer element")
     G = x.group
-    bichar = _as_bichar(division)
     gamma: list[GroupElem] = []
     for g, c in x.coeffs:
         gamma.extend([g] * int(c))
     size = len(gamma)
-    inner_dim = bichar.subgroup.order if bichar is not None else 1
+    inner_dim = division.support.order if division is not None else 1
     if size * size * inner_dim > DIM_CAP:
         raise ValueError("dimension cap exceeded")
     fld = get_field(oracle_conductor(G))
@@ -396,9 +385,9 @@ def build_matrix(x: GroupRingElem, division=None) -> FiniteGradedAlgebra:
         for i in (p * size + p + 1, (p + 1) * size + p)
     ]
     units = FiniteGradedAlgebra(G, degrees, table, unit, generators=gens or [unit])
-    if bichar is None:
+    if division is None:
         return units
-    return tensor(units, build_twisted(bichar))
+    return tensor(units, build_twisted(division.bichar))
 
 
 def tensor(a: FiniteGradedAlgebra, b: FiniteGradedAlgebra) -> FiniteGradedAlgebra:
@@ -432,10 +421,6 @@ def opposite(a: FiniteGradedAlgebra) -> FiniteGradedAlgebra:
     return FiniteGradedAlgebra(
         a.group, a.degrees, table, a.unit, generators=a.generators
     )
-
-
-def algebra_of_class(d: DivisionClass) -> FiniteGradedAlgebra:
-    return build_twisted(d.bichar)
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +817,7 @@ def observed_tensor_invariant(
     d1: DivisionClass, d2: DivisionClass
 ) -> WedderburnInvariant:
     """The invariant of the explicitly constructed tensor product."""
-    prod_alg = tensor(algebra_of_class(d1), opposite(algebra_of_class(d2)))
+    prod_alg = tensor(build_twisted(d1.bichar), opposite(build_twisted(d2.bichar)))
     return graded_simple_decompose(prod_alg)
 
 

@@ -1,4 +1,4 @@
-import random
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,10 +8,9 @@ from glim.abelian import (
     Character,
     Subgroup,
     _addition_table,
-    _unimodular_inverse,
     dual_and_orbits,
+    generator_words,
     group_new,
-    perp,
     perp_of_orbits,
     perp_of_subgroup,
     quotient,
@@ -20,6 +19,7 @@ from glim.abelian import (
     all_subgroups,
     trivial_subgroup,
 )
+from glim.exactsolve import hermite_basis, smith_normal_form
 
 SMALL_GROUPS = [[1], [2], [3], [4], [2, 2], [5], [6], [4, 2], [2, 2, 2], [8], [3, 3], [9], [4, 4]]
 
@@ -189,16 +189,16 @@ def test_orbits_partition_dual():
 def test_perp_examples():
     klein = group_new([2, 2])
     whole = subgroup_from_generators(klein, [klein.element((1, 0)), klein.element((0, 1))])
-    tp = perp(klein, whole)
+    tp = perp_of_subgroup(whole)
     assert sorted(x.coords for x in tp.elements) == [(0, 0)]
 
     triv_orbit = dual_and_orbits(klein)[0]
-    sp = perp(klein, [triv_orbit])
+    sp = perp_of_orbits(klein, [triv_orbit])
     assert sp.order == 4
 
     z4 = group_new([4])
     sub = subgroup_from_generators(z4, [z4.element((2,))])
-    tp4 = perp(z4, sub)
+    tp4 = perp_of_subgroup(sub)
     assert sorted(x.coords for x in tp4.elements) == [(0,), (2,)]
 
 
@@ -222,8 +222,8 @@ def test_subgroup_basis_enumerates():
         assert total == sub.order
 
 
-def _gauss_jordan_inverse(M):
-    """Reference inverse over Q; every entry must come out an integer."""
+def _fraction_inverse(M):
+    """Reference inverse over Q by Gauss-Jordan, in Fractions."""
     k = len(M)
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
            for i, row in enumerate(M)]
@@ -235,24 +235,65 @@ def _gauss_jordan_inverse(M):
             if i != col and aug[i][col]:
                 f = aug[i][col]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    assert all(x.denominator == 1 for row in aug for x in row[k:])
-    return [[int(x) for x in row[k:]] for row in aug]
+    return [row[k:] for row in aug]
 
 
-def test_unimodular_inverse_matches_gauss_jordan():
-    rng = random.Random(5)
-    for _ in range(200):
-        k = rng.randint(1, 5)
-        # a product of random elementary operations and sign flips
-        M = [[int(i == j) for j in range(k)] for i in range(k)]
-        for _ in range(rng.randint(0, 12)):
-            i, j = rng.randrange(k), rng.randrange(k)
-            if i == j:
-                M[i] = [-x for x in M[i]]
-            else:
-                f = rng.randint(-3, 3)
-                M[i] = [x + f * y for x, y in zip(M[i], M[j])]
-        assert _unimodular_inverse(M) == _gauss_jordan_inverse(M)
+def _integral(rows):
+    assert all(x.denominator == 1 for row in rows for x in row)
+    return [[int(x) for x in row] for row in rows]
+
+
+def _two_smith_form_basis(sub):
+    """Reference basis by the two-Smith-form algorithm: the Hermite basis B of
+    the subgroup's lattice, W = D B^-1, the Smith form U W V = S, V^-1 by
+    Gauss-Jordan, generators the rows of V^-1 B with S_ii > 1, coordinates by
+    products of powers."""
+    G = sub.parent
+    k = len(G.factors)
+    if sub.order == 1:
+        return (), (), {G.identity: ()}
+    D = [[G.factors[i] if j == i else 0 for j in range(k)] for i in range(k)]
+    B = hermite_basis([list(g.coords) for g in sub.sorted_elements()] + D)
+    Binv = _fraction_inverse(B)
+    W = _integral([[sum(D[i][t] * Binv[t][j] for t in range(k)) for j in range(k)]
+                   for i in range(k)])
+    S, _U, V = smith_normal_form(W)
+    Vinv = _integral(_fraction_inverse(V))
+    gens, orders = [], []
+    for i in range(k):
+        if S[i][i] > 1:
+            gens.append(G.element([sum(Vinv[i][t] * B[t][j] for t in range(k))
+                                   for j in range(k)]))
+            orders.append(S[i][i])
+    coords = {}
+    for tup in itertools.product(*(range(o) for o in orders)):
+        elem = G.identity
+        for g, c in zip(gens, tup):
+            elem = elem * g**c
+        coords[elem] = tup
+    return tuple(gens), tuple(orders), coords
+
+
+BASIS_GROUPS = [
+    (1,), (6,), (2, 2), (4, 2), (3, 3), (2, 2, 2), (8, 2), (4, 4), (4, 2, 2),
+    (2, 2, 2, 2), (6, 6), (8, 8), (4, 4, 4), (2, 2, 2, 2, 2),
+]
+
+
+@pytest.mark.parametrize("factors", BASIS_GROUPS)
+def test_subgroup_basis_matches_the_two_smith_form_reference(factors):
+    for sub in all_subgroups(group_new(factors)):
+        assert subgroup_basis(sub) == _two_smith_form_basis(sub)
+
+
+def test_generator_words_are_the_first_words_reached():
+    z4 = group_new([4])
+    words = generator_words(z4, [z4.element((1,)), z4.element((2,))])
+    assert {g.coords: w for g, w in words.items()} == {
+        (0,): (0, 0), (1,): (1, 0), (2,): (0, 1), (3,): (1, 1)
+    }
+    with pytest.raises(ValueError, match="different group"):
+        generator_words(z4, [group_new([2]).element((1,))])
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glim.cli import main
 
@@ -221,3 +222,114 @@ def test_oracle_check_small(capsys):
     payload = json.loads(out)
     assert [2, 2] in payload["groups_checked"]
     assert payload["ok"] is True
+
+
+DIVISION = {"group": KLEIN, **PAULI}
+DESCRIPTOR = {"group": KLEIN, "x0": TWO, "cycle_labels": [TWO]}
+MISSING = None  # stands for a path with no file behind it
+
+# (command, file payloads, the key path the message must name)
+MALFORMED = [
+    (["brauer", "mul"], [DIVISION], "files"),
+    (["brauer", "mul"], [DIVISION] * 3, "files"),
+    (["brauer", "inv"], [DIVISION, MISSING], "files"),
+    (["brauer", "equiv"], [DIVISION, DIVISION, DESCRIPTOR, DESCRIPTOR], "files"),
+    (["brauer", "inv"], [{**DIVISION, "beta": 5}], ".beta"),
+    (["brauer", "inv"], [{**DIVISION, "beta": [[0, 1], 5]}], ".beta[1]"),
+    (["standard-form"], [{**DESCRIPTOR, "prefix_labels": 3}], ".prefix_labels"),
+    (["standard-form"], [{**DESCRIPTOR, "division": 5}], ".division"),
+    # integers must be JSON integers: no rounding, no strings, no booleans
+    (["standard-form"], [{**DESCRIPTOR, "x0": [{"elem": [1.7, 0], "mult": 1}]}],
+     ".x0[0].elem[0]"),
+    (["standard-form"], [{**DESCRIPTOR, "x0": [{"elem": ["1", 0], "mult": 1}]}],
+     ".x0[0].elem[0]"),
+    (["standard-form"], [{**DESCRIPTOR, "x0": [{"elem": [0, True], "mult": 1}]}],
+     ".x0[0].elem[1]"),
+    (["standard-form"], [{**DESCRIPTOR, "x0": [{"elem": [0, 0], "mult": True}]}],
+     ".x0[0].mult"),
+    (["standard-form"], [{**DESCRIPTOR, "group": [2, True]}], ".group[1]"),
+    (["brauer", "inv"], [{**DIVISION, "support_gens": [[1.0, 0], [0, 1]]}],
+     ".support_gens[0][0]"),
+    (["brauer", "inv"], [{**DIVISION, "zeta_order": True}], ".zeta_order"),
+    (["brauer", "inv"],
+     [{"group": [4, 4], "support_gens": [[1, 0], [0, 1]],
+       "beta": [[0, 1.5], [-1.5, 0]], "zeta_order": 4}],
+     ".beta[0][1]"),
+]
+
+
+@pytest.mark.parametrize("command, payloads, key", MALFORMED)
+def test_malformed_input_is_an_error_naming_its_key(tmp_path, capsys, command, payloads, key):
+    paths = [
+        str(tmp_path / "missing.json") if p is MISSING else write(tmp_path, f"f{i}.json", p)
+        for i, p in enumerate(payloads)
+    ]
+    assert main(command + paths) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: " in err
+    assert "Traceback" not in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+FUZZ_GROUPS = [[1], [2], [4], [2, 2], [6], [4, 2], [3, 3], [2, 2, 2], [4, 4], [8, 2]]
+
+
+def _key_paths(value, path=()):
+    """The path of every value held under a key or list index."""
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ()
+    )
+    for key, child in children:
+        yield path + (key,)
+        yield from _key_paths(child, path + (key,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    out = dict(value) if isinstance(value, dict) else list(value)
+    out[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return out
+
+
+def _fuzz_division(factors):
+    """A valid class over the group: Pauli type where the first two factors
+    agree, trivial otherwise."""
+    if len(factors) > 1 and factors[0] == factors[1]:
+        gens = [[int(i == j) for j in range(len(factors))] for i in range(2)]
+        return {"support_gens": gens, "beta": [[0, 1], [-1, 0]], "zeta_order": factors[0]}
+    return {"support_gens": [], "beta": [], "zeta_order": 1}
+
+
+@pytest.mark.parametrize("command", ["standard-form", "inv"])
+@settings(max_examples=200, deadline=None)
+@given(factors=st.sampled_from(FUZZ_GROUPS), data=st.data())
+def test_parser_fuzz_never_raises(tmp_path_factory, command, factors, data):
+    zero = [0] * len(factors)
+    one = [1] + zero[1:]
+    division = _fuzz_division(factors)
+    if command == "inv":
+        argv, payload = ["brauer", "inv"], {"group": factors, **division}
+    else:
+        label = [{"elem": zero, "mult": 1}, {"elem": one, "mult": 2}]
+        argv, payload = ["standard-form"], {
+            "group": factors, "x0": label, "prefix_labels": [label],
+            "cycle_labels": [label], "division": division,
+        }
+    paths = list(_key_paths(payload))
+    # a key first, then one of its places, so that rare keys are drawn as often
+    keys = sorted({p[-1] for p in paths}, key=str)
+    chosen = [
+        data.draw(st.sampled_from([p for p in paths if p[-1] == key]))
+        for key in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3))
+    ]
+    # deepest first, so every chosen path still exists when it is replaced
+    for path in sorted(chosen, key=len, reverse=True):
+        payload = _replaced(payload, path, data.draw(JSON_VALUES))
+    path = write(tmp_path_factory.mktemp("fuzz"), "f.json", payload)
+    assert main(argv + [path]) in (0, 2)

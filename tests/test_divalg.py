@@ -19,7 +19,6 @@ from glim.divalg import (
     brauer_unlift,
     enumerate_division_classes,
     op_class,
-    radical,
 )
 from glim.groupring import GroupRingElem, subgroup_sum
 
@@ -31,10 +30,10 @@ def z44_class(u: int) -> DivisionClass:
 
 
 def test_radical_examples(klein, klein_full, pauli):
-    assert radical(pauli.bichar).order == 1
+    assert pauli.bichar.radical().order == 1
     triv_bichar = Bicharacter.trivial(klein_full)
-    assert radical(triv_bichar).order == 4
-    assert radical(z44_class(1).bichar).order == 1
+    assert triv_bichar.radical().order == 4
+    assert z44_class(1).bichar.radical().order == 1
 
 
 def _candidate_bicharacters(group):
