@@ -42,12 +42,16 @@ class FinAbGroup:
         return GroupElem(self, (0,) * len(self.factors))
 
     def element(self, coords) -> "GroupElem":
-        c = tuple(int(x) % d for x, d in zip(coords, self.factors))
-        if len(c) != len(self.factors):
+        """The element with these coordinates, each reduced mod its factor;
+        a coordinate that is not an ``int`` (a float, string or bool) is an
+        error, never converted."""
+        if len(coords) != len(self.factors):
             raise ValueError(
                 f"expected {len(self.factors)} coordinates, got {len(coords)}"
             )
-        return GroupElem(self, c)
+        if any(type(x) is not int for x in coords):
+            raise ValueError(f"coordinates must be ints, got {tuple(coords)!r}")
+        return GroupElem(self, tuple(x % d for x, d in zip(coords, self.factors)))
 
     def elements(self) -> list["GroupElem"]:
         return [

@@ -7,6 +7,7 @@ Exit codes: 0 = yes/success, 1 = no, 2 = usage/validation error, 3 = unknown
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -346,7 +347,11 @@ def cmd_oracle_check(args) -> int:
     return 0 if not failures else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``glim`` argument parser, built on the first call and shared by every
+    later one in the process: parsing keeps no state in the parser, so
+    ``main`` may be called any number of times in-process."""
     parser = argparse.ArgumentParser(
         prog="glim",
         description=(
@@ -402,8 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DescriptorError as exc:

@@ -38,6 +38,14 @@ def _form(matrix, u, v, n: int) -> int:
     ) % n
 
 
+def _scaled(matrix, scale: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Each exponent times scale, mod n; an entry that is not an ``int`` (a
+    float, string or bool) is an error, never truncated."""
+    if any(type(x) is not int for row in matrix for x in row):
+        raise ValueError("bicharacter exponents must be ints")
+    return tuple(tuple((x * scale) % n for x in row) for row in matrix)
+
+
 @dataclass(frozen=True)
 class Bicharacter:
     """An alternating bicharacter on a subgroup, as zeta-exponents over the
@@ -82,9 +90,7 @@ class Bicharacter:
         zo = zeta_order if zeta_order is not None else n
         if n % zo:
             raise ValueError(f"zeta order {zo} must divide the group exponent {n}")
-        scale = n // zo
-        norm = tuple(tuple((int(m) * scale) % n for m in row) for row in matrix)
-        return Bicharacter(sub, norm)
+        return Bicharacter(sub, _scaled(matrix, n // zo, n))
 
     def exponent_of(self, s: GroupElem, t: GroupElem) -> int:
         """The zeta_n-exponent of beta(s, t)."""
@@ -129,11 +135,10 @@ def bicharacter_from_generator_data(
     n = group.exponent
     if zeta_order < 1 or n % zeta_order:
         raise ValueError(f"zeta_order must divide the exponent of the group ({n})")
-    scale = n // zeta_order
     m = len(gens)
     if len(matrix) != m or any(len(row) != m for row in matrix):
         raise ValueError("beta matrix shape does not match the generator count")
-    M = [[(int(x) * scale) % n for x in row] for row in matrix]
+    M = _scaled(matrix, n // zeta_order, n)
     words = generator_words(group, gens)
     sub = Subgroup(group, frozenset(words), tuple(gens))
 

@@ -96,10 +96,25 @@ def elem_payload(z: GroupRingElem) -> list[dict]:
     return out
 
 
-def payload_elem(group: FinAbGroup, payload) -> GroupRingElem:
+def _cert_element(group: FinAbGroup, coords) -> GroupElem | None:
+    """The group element a certificate names, or None unless ``coords`` is a
+    list of one ``int`` per cyclic factor (out-of-range ints are reduced)."""
+    if not isinstance(coords, (list, tuple)):
+        return None
+    try:
+        return group.element(coords)
+    except ValueError:
+        return None
+
+
+def payload_elem(group: FinAbGroup, payload) -> GroupRingElem | None:
+    """The group-ring element of a certificate's label, or None when a term's
+    ``elem`` is not a group element (see ``_cert_element``)."""
     data: dict[GroupElem, Fraction] = {}
     for item in payload:
-        g = group.element(tuple(item["elem"]))
+        g = _cert_element(group, item["elem"])
+        if g is None:
+            return None
         data[g] = data.get(g, Fraction(0)) + Fraction(str(item["mult"]))
     return GroupRingElem.from_dict(group, data)
 
@@ -733,6 +748,8 @@ def verify_member_certificate(
         if kind != "member-witness":
             return False
         w = payload_elem(k0.group, cert["witness"])
+        if w is None:
+            return False
         if cert["cone"] and not w.is_nonneg_integer:
             return False
         if not cert["cone"] and not w.is_integer:
@@ -800,10 +817,11 @@ def verify_absorbs_k0_certificate(
 ) -> bool:
     kind = cert.get("kind")
     if kind == "support-obstruction":
-        t = k0.group.element(tuple(cert["element"]))
+        t = _cert_element(k0.group, cert["element"])
         idx = _named_orbit(k0, cert)
         return (
             verdict == "no"
+            and t is not None
             and idx is not None
             and t in d_class.support
             and k0.orbits[idx].representative.value_exponent(t) != 0
@@ -858,6 +876,8 @@ def verify_iso_certificate(
             return False
         b = payload_elem(d.group, cert["b"])
         b2 = payload_elem(d.group, cert["b_prime"])
+        if b is None or b2 is None:
+            return False
         if not (b.is_nonneg_integer and b2.is_nonneg_integer):
             return False
         if k0a.orbits != k0b.orbits:
@@ -884,7 +904,7 @@ def verify_iso_certificate(
             if type(delta) is not int or delta < 1:
                 return False
             u = payload_elem(d.group, cert[key]["witness"])
-            if not u.is_nonneg_integer:
+            if u is None or not u.is_nonneg_integer:
                 return False
             if k_other.cycle * project(u, k_src.orbits) != k_src.cycle**delta:
                 return False

@@ -40,6 +40,16 @@ def test_group_new_errors():
         group_new([2, 0])
 
 
+def test_element_takes_int_coordinates_only():
+    g = group_new([4, 4])
+    assert g.element((5, -1)).coords == (1, 3)
+    for bad in ((1.7, True), (1.0, 0), ("1", 0), (0, True)):
+        with pytest.raises(ValueError):
+            g.element(bad)
+    with pytest.raises(ValueError):
+        g.element((1,))
+
+
 def test_element_enumeration_is_total_and_unique():
     for factors in SMALL_GROUPS:
         g = group_new(factors)

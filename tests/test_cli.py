@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from glim import cli
 from glim.cli import main
 
 KLEIN = [2, 2]
@@ -222,6 +227,72 @@ def test_oracle_check_small(capsys):
     payload = json.loads(out)
     assert [2, 2] in payload["groups_checked"]
     assert payload["ok"] is True
+
+
+def _outcome(capsys, argv):
+    """Exit code, stdout and stderr of one in-process call; an argparse usage
+    error exits through SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_keeps_no_state_between_calls(files, capsys, monkeypatch):
+    sequence = [
+        ["iso", files["two"], files["three"], "--json", "--check-certificate"],
+        ["absorbs", files["a_prime"], "--division", files["pauli"], "--text"],
+        ["absorbs", files["a"], "--no-such-flag"],
+        ["standard-form", files["a"], "--json"],
+        ["brauer", "inv", files["pauli"]],
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [_outcome(capsys, argv) for argv in sequence]
+    assert [code for code, _, _ in fresh] == [1, 0, 2, 0, 0]
+    assert "usage: glim absorbs" in fresh[2][2]
+    before = cli.build_parser.cache_info()
+    for _ in range(2):
+        assert [_outcome(capsys, argv) for argv in sequence] == fresh
+    assert cli.build_parser.cache_info().misses - before.misses <= 1
+
+
+def _console(*args):
+    """Run ``python -m glim.cli`` in a child process on this checkout's source."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "glim.cli", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_console_entry_point(files):
+    proc = _console("iso", files["two"], files["three"], "--json")
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["verdict"] == "no"
+    proc = _console("--help")
+    assert proc.returncode == 0
+    assert "usage: glim" in proc.stdout
+
+
+def test_dependent_generating_tuple_through_the_cli(tmp_path, capsys):
+    gens = [[1, 0], [0, 1], [1, 1]]
+    dependent = write(tmp_path, "dep.json", {
+        "group": KLEIN, "support_gens": gens, "beta": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        "zeta_order": 2,
+    })
+    pair = write(tmp_path, "pair.json", {"group": KLEIN, **PAULI})
+    assert run(capsys, "brauer", "inv", dependent, "--json") == run(
+        capsys, "brauer", "inv", pair, "--json"
+    )
+    inconsistent = write(tmp_path, "bad.json", {
+        "group": KLEIN, "support_gens": gens, "beta": [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+        "zeta_order": 2,
+    })
+    assert main(["brauer", "inv", inconsistent]) == 2
+    assert "bad.json.beta: " in capsys.readouterr().err
 
 
 DIVISION = {"group": KLEIN, **PAULI}

@@ -167,6 +167,24 @@ def test_bicharacter_from_generator_data_redundant_generators(klein):
     mat = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
     bichar = bicharacter_from_generator_data(klein, gens, mat, 2)
     assert bichar.is_nondegenerate
+    pair = bicharacter_from_generator_data(klein, gens[:2], [[0, 1], [1, 0]], 2)
+    assert bichar == pair
+    assert DivisionClass(bichar) == DivisionClass(pair)
+    # beta(g1, g3) must be beta(g1, g1) + beta(g1, g2) = 1, not 0
+    with pytest.raises(ValueError):
+        bicharacter_from_generator_data(klein, gens, [[0, 1, 0], [1, 0, 1], [0, 1, 0]], 2)
+
+
+def test_non_integer_exponents_are_rejected():
+    g = group_new([4, 4])
+    full = subgroup_from_generators(g, [g.element((1, 0)), g.element((0, 1))])
+    gens = list(full.generators)
+    for bad in ([[0, 1.5], [-1.5, 0]], [[0, "1"], [-1, 0]], [[0, True], [-1, 0]]):
+        with pytest.raises(ValueError):
+            Bicharacter.from_exponents(full, bad)
+        with pytest.raises(ValueError):
+            bicharacter_from_generator_data(g, gens, bad, 4)
+    assert Bicharacter.from_exponents(full, [[0, 1], [-1, 0]]).matrix == ((0, 1), (3, 0))
 
 
 def test_bicharacter_from_generator_data_rejects_inconsistent(klein):

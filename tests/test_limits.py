@@ -312,6 +312,38 @@ def test_certificate_naming_an_unknown_orbit_does_not_replay(trivial_group, klei
     assert not verify_absorbs_certificate(a, pauli, "no", _with_rep(r.certificate, [5, 5]))
 
 
+def _coordinate_variants(coords: list, factors) -> tuple[list, list]:
+    """Tampered copies of a certificate's coordinates that name no element
+    (floats and strings that truncate to them), and an out-of-range int copy
+    that names the same element."""
+    bad = [[c + 0.5 for c in coords], [float(c) for c in coords], [str(c) for c in coords]]
+    return bad, [c + d for c, d in zip(coords, factors)]
+
+
+def test_certificate_with_non_integer_coordinates_does_not_replay(klein, pauli):
+    a = LimitDescriptor(klein, const(klein, 2), (), (const(klein, 2),))
+    r = absorbs(a, pauli, 8)
+    assert r.certificate["kind"] == "support-obstruction"
+    bad, shifted = _coordinate_variants(r.certificate["element"], klein.factors)
+    for element in bad:
+        cert = dict(r.certificate, element=element)
+        assert verify_absorbs_certificate(a, pauli, "no", cert) is False
+    assert verify_absorbs_certificate(a, pauli, "no", dict(r.certificate, element=shifted))
+
+    k = k0_realization(a)
+    r = in_k_group(k, k.order_unit, 4)
+    assert r.certificate["kind"] == "member-witness"
+    term = r.certificate["witness"][0]
+    bad, shifted = _coordinate_variants(term["elem"], klein.factors)
+    for elem in bad + [[0], [0, 0, 0], 0]:
+        witness = [dict(term, elem=elem)] + r.certificate["witness"][1:]
+        cert = dict(r.certificate, witness=witness)
+        assert verify_member_certificate(k, k.order_unit, "yes", cert) is False
+    witness = [dict(term, elem=shifted)] + r.certificate["witness"][1:]
+    cert = dict(r.certificate, witness=witness)
+    assert verify_member_certificate(k, k.order_unit, "yes", cert)
+
+
 # ---------------------------------------------------------------------------
 # isomorphism procedures
 
@@ -348,6 +380,21 @@ def test_iso_witness_with_a_bad_cycle_delta_does_not_replay(trivial_group):
     for delta in (0, -1, "1", 1.0, True):
         for key in ("cycle_forward", "cycle_backward"):
             cert = dict(r.certificate, **{key: dict(r.certificate[key], delta=delta)})
+            assert verify_iso_certificate(two, four, "yes", cert) is False
+
+
+def test_iso_witness_with_non_integer_coordinates_does_not_replay(trivial_group):
+    two, four = uhf(trivial_group, 2), uhf(trivial_group, 4)
+    r = iso_elementary(two, four, 4)
+    assert r.verdict == "yes"
+    for elem in ([0.0], ["0"], [False]):
+        for key in ("b", "b_prime"):
+            label = [dict(t, elem=elem) for t in r.certificate[key]]
+            cert = dict(r.certificate, **{key: label})
+            assert verify_iso_certificate(two, four, "yes", cert) is False
+        for key in ("cycle_forward", "cycle_backward"):
+            witness = [dict(t, elem=elem) for t in r.certificate[key]["witness"]]
+            cert = dict(r.certificate, **{key: dict(r.certificate[key], witness=witness)})
             assert verify_iso_certificate(two, four, "yes", cert) is False
 
 
