@@ -23,7 +23,6 @@ from .divalg import (
     Bicharacter,
     BrauerClass,
     DivisionClass,
-    brauer_equivalent,
     brauer_lift,
     brauer_mul,
     enumerate_division_classes,
@@ -45,6 +44,7 @@ from .limits import (
     LimitDescriptor,
     TriBool,
     absorbs,
+    brauer_equivalent,
     in_k_group,
     in_positive_cone,
     iso_elementary,

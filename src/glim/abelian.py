@@ -26,6 +26,8 @@ class FinAbGroup:
     def __post_init__(self):
         if not self.factors:
             raise ValueError("a group needs at least one cyclic factor")
+        if any(type(d) is not int for d in self.factors):
+            raise ValueError(f"cyclic factors must be ints, got {self.factors!r}")
         if any(d < 1 for d in self.factors):
             raise ValueError(f"cyclic factors must be positive, got {self.factors}")
 
@@ -64,7 +66,7 @@ class FinAbGroup:
 
 
 def group_new(factors) -> FinAbGroup:
-    return FinAbGroup(tuple(int(d) for d in factors))
+    return FinAbGroup(tuple(factors))
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,15 @@ import sys
 from fractions import Fraction
 
 from .abelian import FinAbGroup, subgroup_basis
-from .divalg import DivisionClass, bicharacter_from_generator_data, brauer_mul
+from .divalg import DivisionClass, bicharacter_from_generator_data, brauer_mul, op_class
 from .groupring import GroupRingElem
 from .limits import (
     DEFAULT_BUDGET,
     DEFAULT_PRIME_BUDGET,
     LimitDescriptor,
     TriBool,
+    absorbs,
+    brauer_equivalent,
     elem_payload,
     iso_elementary,
     iso_general,
@@ -28,10 +30,10 @@ from .limits import (
     standard_form,
     support_invariants,
     verify_absorbs_certificate,
+    verify_absorbs_k0_certificate,
     verify_general_iso_certificate,
     verify_iso_certificate,
 )
-from . import limits as _limits
 from . import oracle as _oracle
 
 
@@ -145,25 +147,20 @@ def parse_descriptor(payload: dict, path: str = "descriptor") -> LimitDescriptor
     return LimitDescriptor(group, x0, prefix, cycle, division)
 
 
-def load_descriptor(path: str) -> LimitDescriptor:
+def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise DescriptorError(
-                f"{path}:{exc.lineno}:{exc.colno}", exc.msg
-            ) from exc
-    return parse_descriptor(payload, path)
+            raise DescriptorError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
+
+
+def load_descriptor(path: str) -> LimitDescriptor:
+    return parse_descriptor(_load_json(path), path)
 
 
 def load_division(path: str) -> DivisionClass:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DescriptorError(
-                f"{path}:{exc.lineno}:{exc.colno}", exc.msg
-            ) from exc
+    payload = _load_json(path)
     if not isinstance(payload, dict) or "group" not in payload:
         raise DescriptorError(path, "division file needs a 'group' key")
     group = _parse_group(payload["group"], f"{path}.group")
@@ -249,7 +246,7 @@ def cmd_absorbs(args) -> int:
     cls = load_division(args.division)
     if cls.group != d.group:
         raise DescriptorError("group", "division class over a different group")
-    result = _limits.absorbs(d, cls, args.budget)
+    result = absorbs(d, cls, args.budget)
     checker = lambda r: verify_absorbs_certificate(d, cls, r.verdict, r.certificate)
     return _verdict_exit(result, args, checker)
 
@@ -274,8 +271,6 @@ def cmd_brauer(args) -> int:
         _emit(payload, args.json)
         return 0
     if args.op == "inv":
-        from .divalg import op_class
-
         d1 = load_division(args.files[0])
         _emit({"E": serialize_division(op_class(d1))}, args.json)
         return 0
@@ -285,9 +280,6 @@ def cmd_brauer(args) -> int:
     desc = load_descriptor(args.files[2])
     if d1.group != desc.group or d2.group != desc.group:
         raise DescriptorError("group", "inputs graded by different groups")
-    from .divalg import brauer_equivalent
-    from .limits import verify_absorbs_k0_certificate
-
     k0 = k0_realization(desc)
     result = brauer_equivalent(d1, d2, k0, args.budget)
 
@@ -362,6 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def output(p):
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.add_argument("--text", dest="json", action="store_false",
+                       help="human-readable output (default)")
+
     def common(p):
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="unrolled cycle periods to search (default 32)")
@@ -369,14 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="largest prime scaling invariant to test (default 13)")
         p.add_argument("--check-certificate", action="store_true",
                        help="replay the certificate before reporting")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--text", dest="json", action="store_false",
-                       help="human-readable output (default)")
+        output(p)
 
     p = sub.add_parser("standard-form", help="canonicalize a descriptor, report S and S0")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--text", dest="json", action="store_false")
+    output(p)
     p.set_defaults(func=cmd_standard_form)
 
     p = sub.add_parser("iso", help="decide isomorphism of two limits")
@@ -399,8 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="run the structure-constants cross-validation")
     p.add_argument("--max-group-order", type=int, default=4)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--text", dest="json", action="store_false")
+    output(p)
     p.set_defaults(func=cmd_oracle_check)
 
     return parser

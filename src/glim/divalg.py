@@ -22,11 +22,13 @@ from .abelian import (
     FinAbGroup,
     GroupElem,
     Subgroup,
+    all_subgroups,
     generator_words,
     subgroup_basis,
     subgroup_from_members,
     subgroup_intersection,
     subgroup_join,
+    trivial_subgroup,
 )
 from .groupring import GroupRingElem, subgroup_sum
 
@@ -187,8 +189,6 @@ class DivisionClass:
 
     @staticmethod
     def trivial(group: FinAbGroup) -> "DivisionClass":
-        from .abelian import trivial_subgroup
-
         return DivisionClass(Bicharacter.trivial(trivial_subgroup(group)))
 
     @property
@@ -352,20 +352,8 @@ def brauer_mul(
     return e_class, y, H
 
 
-def brauer_equivalent(d: DivisionClass, dprime: DivisionClass, k0, budget: int):
-    """Equivalence of division classes relative to an ordered K0 datum:
-    the support of D (x) D'^op must annihilate S and its order must scale the
-    positive cone invertibly."""
-    from . import limits
-
-    e_class, _y, _h = brauer_mul(d, dprime)
-    return limits.absorbs_k0(k0, e_class, budget)
-
-
 def enumerate_division_classes(group: FinAbGroup) -> list[DivisionClass]:
     """All nondegenerate classes (T, beta) over the group, trivial class first."""
-    from .abelian import all_subgroups
-
     out = []
     n = group.exponent
     for sub in all_subgroups(group):

@@ -15,6 +15,7 @@ search budget ran out.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -88,34 +89,25 @@ class TriBool:
         return self.verdict != "unknown"
 
 
+def _mult_payload(c: Fraction) -> int | str:
+    return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
 def elem_payload(z: GroupRingElem) -> list[dict]:
-    out = []
-    for g, c in z.coeffs:
-        mult = int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-        out.append({"elem": list(g.coords), "mult": mult})
-    return out
+    return [{"elem": list(g.coords), "mult": _mult_payload(c)} for g, c in z.coeffs]
 
 
-def _cert_element(group: FinAbGroup, coords) -> GroupElem | None:
-    """The group element a certificate names, or None unless ``coords`` is a
-    list of one ``int`` per cyclic factor (out-of-range ints are reduced)."""
-    if not isinstance(coords, (list, tuple)):
-        return None
-    try:
-        return group.element(coords)
-    except ValueError:
-        return None
-
-
-def payload_elem(group: FinAbGroup, payload) -> GroupRingElem | None:
-    """The group-ring element of a certificate's label, or None when a term's
-    ``elem`` is not a group element (see ``_cert_element``)."""
+def payload_elem(group: FinAbGroup, payload) -> GroupRingElem:
+    """The group-ring element a certificate's label names.  A term's ``elem``
+    must be a list of ints and its ``mult`` exactly what ``elem_payload``
+    writes, an ``int`` or a ``"p/q"`` string; anything else raises."""
     data: dict[GroupElem, Fraction] = {}
     for item in payload:
-        g = _cert_element(group, item["elem"])
-        if g is None:
-            return None
-        data[g] = data.get(g, Fraction(0)) + Fraction(str(item["mult"]))
+        m = item["mult"]
+        if type(m) not in (int, str) or _mult_payload(q := Fraction(m)) != m:
+            raise ValueError(f"multiplicity {m!r} is not an int or a 'p/q' string")
+        g = group.element(item["elem"])
+        data[g] = data.get(g, Fraction(0)) + q
     return GroupRingElem.from_dict(group, data)
 
 
@@ -441,6 +433,16 @@ def absorbs_k0(k0: K0Descriptor, d_class: DivisionClass, budget: int = DEFAULT_B
     return TriBool(inner.verdict, cert)
 
 
+def brauer_equivalent(
+    d: DivisionClass, dprime: DivisionClass, k0: K0Descriptor, budget: int
+) -> TriBool:
+    """Equivalence of division classes relative to an ordered K0 datum:
+    the support of D (x) D'^op must annihilate S and its order must scale the
+    positive cone invertibly."""
+    e_class, _y, _h = brauer_mul(d, dprime)
+    return absorbs_k0(k0, e_class, budget)
+
+
 def absorbs(
     d: LimitDescriptor, d_class: DivisionClass, budget: int = DEFAULT_BUDGET
 ) -> TriBool:
@@ -727,83 +729,110 @@ def iso_general(
 
 # ---------------------------------------------------------------------------
 # certificate replay
+#
+# One boundary: each public verify_* is total.  It returns a bool and never
+# raises; a certificate of a kind outside its table, one certifying a verdict
+# its kind may not certify, and a malformed one (a missing key, a field of
+# the wrong type) replay False.  Every field that replay reads is read
+# exactly: an int field must be an ``int``, never a bool, float or string.
+
+_YES, _NO, _UNKNOWN = ("yes",), ("no",), ("unknown",)
+_ANY = _YES + _NO + _UNKNOWN
 
 
-def _named_orbit(k0: K0Descriptor, cert: dict) -> int | None:
-    """The index in ``k0.orbits`` of the orbit a certificate names, or None
-    when no orbit has that representative."""
-    rep = tuple(cert["orbit"]["rep"])
-    return next(
-        (i for i, o in enumerate(k0.orbits) if o.representative.exponents == rep),
-        None,
-    )
+def _replay(kinds: dict[str, tuple[str, ...]]):
+    """Make a replay body ``body(x, y, verdict, cert)`` total; ``kinds`` maps
+    each certificate kind it replays to the verdicts that kind may certify."""
+
+    def decorate(body):
+        @functools.wraps(body)
+        def verify(x, y, verdict: str, cert: dict) -> bool:
+            try:
+                return verdict in kinds[cert["kind"]] and body(x, y, verdict, cert) is True
+            except (KeyError, TypeError, ValueError, ZeroDivisionError):
+                return False
+
+        return verify
+
+    return decorate
 
 
+def _exact(x, typ: type):
+    """``x`` itself when its type is exactly ``typ`` (so a bool is no int)."""
+    if type(x) is not typ:
+        raise TypeError(f"expected {typ.__name__}, got {x!r}")
+    return x
+
+
+def _named_orbit(k0: K0Descriptor, cert: dict) -> int:
+    """The index in ``k0.orbits`` of the orbit whose representative's
+    exponents equal the certificate's ``rep``, a list of ints."""
+    rep = cert["orbit"]["rep"]
+    for x in rep:
+        _exact(x, int)
+    return [list(o.representative.exponents) for o in k0.orbits].index(rep)
+
+
+def _cone_member(k0: K0Descriptor, z: ProjCoords, verdict: str, cert: dict) -> bool:
+    """Replay membership in the positive cone: a yes must be a cone witness,
+    because a lattice witness (``cone`` false) shows membership in K only."""
+    cone_witness = verdict != "yes" or cert["cone"] is True
+    return cone_witness and verify_member_certificate(k0, z, verdict, cert)
+
+
+@_replay({"member-witness": _YES, "negative-trivial-coordinate": _NO,
+          "zero-trivial-coordinate": _NO, "irrational-trivial-coordinate": _NO,
+          "norm-obstruction": _NO, "budget-exhausted": _UNKNOWN})
 def verify_member_certificate(
     k0: K0Descriptor, z: ProjCoords, verdict: str, cert: dict
 ) -> bool:
     """Replay a membership certificate by exact arithmetic."""
-    kind = cert.get("kind")
-    if verdict == "yes":
-        if kind != "member-witness":
-            return False
+    kind = cert["kind"]
+    trivial = z.values[0]
+    if kind == "member-witness":
         w = payload_elem(k0.group, cert["witness"])
-        if w is None:
+        if not (w.is_nonneg_integer if _exact(cert["cone"], bool) else w.is_integer):
             return False
-        if cert["cone"] and not w.is_nonneg_integer:
-            return False
-        if not cert["cone"] and not w.is_integer:
-            return False
-        index = cert["index"]
-        if type(index) is not int or index < 1:
-            return False
-        return project(w, k0.orbits) == z * k0.cycle**index
-    if verdict == "no":
-        if kind == "negative-trivial-coordinate":
-            v = z.values[0]
-            return v.is_rational and v.as_rational() < 0
-        if kind == "zero-trivial-coordinate":
-            v = z.values[0]
-            return v.is_rational and v.as_rational() == 0 and not z.is_zero
-        if kind == "irrational-trivial-coordinate":
-            return not z.values[0].is_rational
-        if kind == "norm-obstruction":
-            # any p >= 2 prime to the cycle norm and dividing the value's norm
-            # denominator has a prime factor that no denominator can clear
-            p = cert["prime"]
-            idx = _named_orbit(k0, cert)
-            if type(p) is not int or p < 2 or idx is None:
-                return False
-            val = z.values[idx]
-            if val.is_zero:
-                return False
-            cyc_norm = k0.cycle.values[idx].norm_to_q()
-            if gcd(p, cyc_norm.numerator * cyc_norm.denominator) != 1:
-                return False
-            return val.norm_to_q().denominator % p == 0
-        return False
+        index = _exact(cert["index"], int)
+        return index >= 1 and project(w, k0.orbits) == z * k0.cycle**index
+    if kind == "negative-trivial-coordinate":
+        return trivial.is_rational and trivial.as_rational() < 0
+    if kind == "zero-trivial-coordinate":
+        return trivial.is_rational and trivial.as_rational() == 0 and not z.is_zero
+    if kind == "irrational-trivial-coordinate":
+        return not trivial.is_rational
+    if kind == "norm-obstruction":
+        # any p >= 2 prime to the cycle norm and dividing the value's norm
+        # denominator has a prime factor that no denominator can clear
+        p = _exact(cert["prime"], int)
+        idx = _named_orbit(k0, cert)
+        val = z.values[idx]
+        cyc_norm = k0.cycle.values[idx].norm_to_q()
+        return (
+            p >= 2
+            and not val.is_zero
+            and gcd(p, cyc_norm.numerator * cyc_norm.denominator) == 1
+            and val.norm_to_q().denominator % p == 0
+        )
     return kind == "budget-exhausted"
 
 
+@_replay({"support-deficit": _NO, "scaling": _ANY})
 def verify_scaling_certificate(
     k0: K0Descriptor, c: GroupRingElem, verdict: str, cert: dict
 ) -> bool:
-    kind = cert.get("kind")
-    if kind == "support-deficit":
-        idx = _named_orbit(k0, cert)
-        return (
-            verdict == "no"
-            and idx is not None
-            and k0.orbits[idx] not in supp_orbits(c)
-        )
-    if kind != "scaling":
-        return False
+    if cert["kind"] == "support-deficit":
+        return k0.orbits[_named_orbit(k0, cert)] not in supp_orbits(c)
     if payload_elem(k0.group, cert["scaler"]) != c:
         return False
     target = k0.ones() * project(c.bar(), k0.orbits).inverse()
-    return verify_member_certificate(k0, target, verdict, cert["inner"])
+    return _cone_member(k0, target, verdict, cert["inner"])
 
 
+_ABSORPTION = {"support-obstruction": _NO, "absorption": _ANY}
+
+
+@_replay(_ABSORPTION)
 def verify_absorbs_certificate(
     d: LimitDescriptor, d_class: DivisionClass, verdict: str, cert: dict
 ) -> bool:
@@ -812,131 +841,93 @@ def verify_absorbs_certificate(
     )
 
 
+@_replay(_ABSORPTION)
 def verify_absorbs_k0_certificate(
     k0: K0Descriptor, d_class: DivisionClass, verdict: str, cert: dict
 ) -> bool:
-    kind = cert.get("kind")
-    if kind == "support-obstruction":
-        t = _cert_element(k0.group, cert["element"])
-        idx = _named_orbit(k0, cert)
-        return (
-            verdict == "no"
-            and t is not None
-            and idx is not None
-            and t in d_class.support
-            and k0.orbits[idx].representative.value_exponent(t) != 0
-        )
-    if kind != "absorption":
+    order = d_class.support.order
+    if cert["kind"] == "support-obstruction":
+        t = k0.group.element(cert["element"])
+        orbit = k0.orbits[_named_orbit(k0, cert)]
+        return t in d_class.support and orbit.representative.value_exponent(t) != 0
+    if _exact(cert["support_order"], int) != order:
         return False
-    if cert.get("support_order") != d_class.support.order:
-        return False
-    scaler = GroupRingElem.constant(k0.group, d_class.support.order)
+    scaler = GroupRingElem.constant(k0.group, order)
     return verify_scaling_certificate(k0, scaler, verdict, cert["inner"])
 
 
+@_replay({"invariant-mismatch": _NO, "dimension-type-mismatch": _NO,
+          "finite-type-no-shift": _NO, "prime-separation": _NO,
+          "iso-witness": _YES, "budget-exhausted": _UNKNOWN})
 def verify_iso_certificate(
     d: LimitDescriptor, d2: LimitDescriptor, verdict: str, cert: dict
 ) -> bool:
     """Replay an elementary-isomorphism certificate."""
-    kind = cert.get("kind")
+    kind = cert["kind"]
     k0a = k0_realization(d)
     k0b = k0_realization(d2)
     if kind == "invariant-mismatch":
-        if verdict != "no":
-            return False
-        if cert["invariant"] == "S":
-            return k0a.S != k0b.S
-        return k0a.s0 != k0b.s0
+        return {"S": k0a.S != k0b.S, "S0": k0a.s0 != k0b.s0}[cert["invariant"]]
+    finite_a = k0a.cycle_bar.size() == 1
+    finite_b = k0b.cycle_bar.size() == 1
     if kind == "dimension-type-mismatch":
-        return verdict == "no" and (
-            (k0a.cycle_bar.size() == 1) != (k0b.cycle_bar.size() == 1)
-        )
+        return finite_a != finite_b
     if kind == "finite-type-no-shift":
-        return (
-            verdict == "no"
-            and k0a.cycle_bar.size() == 1
-            and k0b.cycle_bar.size() == 1
-            and _shift_between(k0a.x0_bar, k0b.x0_bar) is None
-        )
+        return finite_a and finite_b and _shift_between(k0a.x0_bar, k0b.x0_bar) is None
     if kind == "prime-separation":
-        if verdict != "no":
-            return False
-        p = cert["prime"]
-        scaler = GroupRingElem.constant(d.group, p)
-        ok_l = verify_scaling_certificate(k0a, scaler, cert["left_verdict"], cert["left"])
-        ok_r = verify_scaling_certificate(k0b, scaler, cert["right_verdict"], cert["right"])
+        scaler = GroupRingElem.constant(d.group, _exact(cert["prime"], int))
+        left, right = cert["left_verdict"], cert["right_verdict"]
         return (
-            ok_l
-            and ok_r
-            and cert["left_verdict"] != cert["right_verdict"]
-            and "unknown" not in (cert["left_verdict"], cert["right_verdict"])
+            {left, right} == {"yes", "no"}
+            and verify_scaling_certificate(k0a, scaler, left, cert["left"])
+            and verify_scaling_certificate(k0b, scaler, right, cert["right"])
         )
     if kind == "iso-witness":
-        if verdict != "yes":
-            return False
         b = payload_elem(d.group, cert["b"])
         b2 = payload_elem(d.group, cert["b_prime"])
-        if b is None or b2 is None:
+        if not (b.is_nonneg_integer and b2.is_nonneg_integer) or k0a.orbits != k0b.orbits:
             return False
-        if not (b.is_nonneg_integer and b2.is_nonneg_integer):
-            return False
-        if k0a.orbits != k0b.orbits:
-            return False
-        if supp_orbits(b) != k0a.S or supp_orbits(b2) != k0a.S:
-            return False
-        if b * k0a.x0_bar != b2 * k0b.x0_bar:
+        same_support = supp_orbits(b) == supp_orbits(b2) == k0a.S
+        if not same_support or b * k0a.x0_bar != b2 * k0b.x0_bar:
             return False
         b_c = project(b, k0a.orbits)
         b2_c = project(b2, k0a.orbits)
-        if not verify_member_certificate(
-            k0b, b_c * b2_c.inverse(), "yes", cert["base_forward"]
+        for way, k_src, k_other, ratio in (
+            ("forward", k0b, k0a, b_c * b2_c.inverse()),
+            ("backward", k0a, k0b, b2_c * b_c.inverse()),
         ):
-            return False
-        if not verify_member_certificate(
-            k0a, b2_c * b_c.inverse(), "yes", cert["base_backward"]
-        ):
-            return False
-        for key, k_src, k_other in (
-            ("cycle_forward", k0b, k0a),
-            ("cycle_backward", k0a, k0b),
-        ):
-            delta = cert[key]["delta"]
-            if type(delta) is not int or delta < 1:
+            if not _cone_member(k_src, ratio, "yes", cert["base_" + way]):
                 return False
-            u = payload_elem(d.group, cert[key]["witness"])
-            if u is None or not u.is_nonneg_integer:
+            delta = _exact(cert["cycle_" + way]["delta"], int)
+            u = payload_elem(d.group, cert["cycle_" + way]["witness"])
+            if delta < 1 or not u.is_nonneg_integer:
                 return False
             if k_other.cycle * project(u, k_src.orbits) != k_src.cycle**delta:
                 return False
         return True
-    return kind == "budget-exhausted" and verdict == "unknown"
+    return kind == "budget-exhausted"
 
 
+@_replay({"absorption-fails": _NO, "elementary-part": _NO, "general-iso": _YES,
+          "budget-exhausted": _UNKNOWN})
 def verify_general_iso_certificate(
     d: LimitDescriptor, d2: LimitDescriptor, verdict: str, cert: dict
 ) -> bool:
-    kind = cert.get("kind")
+    kind = cert["kind"]
     cls = d.division or DivisionClass.trivial(d.group)
     cls2 = d2.division or DivisionClass.trivial(d2.group)
     e_class, y, _h = brauer_mul(cls, cls2)
     de = d.elementary_part()
-    d2e = d2.elementary_part()
-    if kind == "absorption-fails":
-        return verdict == "no" and verify_absorbs_certificate(
-            de, e_class, "no", cert["inner"]
-        )
     left = tensor_elementary(de, y)
-    right = tensor_elementary(d2e, subgroup_sum(cls2.support))
+    right = tensor_elementary(d2.elementary_part(), subgroup_sum(cls2.support))
+    if kind == "absorption-fails":
+        return verify_absorbs_certificate(de, e_class, "no", cert["inner"])
     if kind == "elementary-part":
-        return verdict == "no" and verify_iso_certificate(
-            left, right, "no", cert["inner"]
-        )
+        return verify_iso_certificate(left, right, "no", cert["inner"])
     if kind == "general-iso":
-        if verdict != "yes":
-            return False
-        if payload_elem(d.group, cert["y"]) != y:
-            return False
-        return verify_absorbs_certificate(
-            de, e_class, "yes", cert["absorption"]
-        ) and verify_iso_certificate(left, right, "yes", cert["elementary"])
-    return kind == "budget-exhausted" and verdict == "unknown"
+        return (
+            payload_elem(d.group, cert["y"]) == y
+            and verify_absorbs_certificate(de, e_class, "yes", cert["absorption"])
+            and verify_iso_certificate(left, right, "yes", cert["elementary"])
+        )
+    return kind == "budget-exhausted"

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from glim.abelian import (
     Character,
+    FinAbGroup,
     Subgroup,
     _addition_table,
     dual_and_orbits,
@@ -38,6 +39,16 @@ def test_group_new_errors():
         group_new([])
     with pytest.raises(ValueError):
         group_new([2, 0])
+
+
+def test_group_factors_must_be_ints():
+    assert group_new([4, 2]) == FinAbGroup((4, 2))
+    assert group_new([4, 2]).factors == (4, 2)
+    for bad in ([4.5, 2], [True, 2], ["4"]):
+        with pytest.raises(ValueError):
+            group_new(bad)
+    with pytest.raises(ValueError):
+        FinAbGroup((4, 2.0))
 
 
 def test_element_takes_int_coordinates_only():

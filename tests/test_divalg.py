@@ -195,8 +195,7 @@ def test_bicharacter_from_generator_data_rejects_inconsistent(klein):
 
 
 def test_brauer_equivalent_examples(klein, pauli, x_t):
-    from glim.divalg import brauer_equivalent
-    from glim.limits import LimitDescriptor, k0_realization
+    from glim.limits import LimitDescriptor, brauer_equivalent, k0_realization
 
     triv = DivisionClass.trivial(klein)
     two = GroupRingElem.constant(klein, 2)

@@ -17,6 +17,7 @@ from glim.divalg import enumerate_division_classes
 from glim.groupring import ProjCoords
 from glim.limits import (
     LimitDescriptor,
+    TriBool,
     absorbs,
     in_k_group,
     iso_elementary,
@@ -54,9 +55,9 @@ def _invariant(inv) -> str:
     )
 
 
-def golden_records() -> dict[str, str]:
-    """The corpus, evaluated: query name -> canonical JSON of the answer."""
-    out: dict[str, str] = {}
+def golden_queries() -> dict[str, tuple]:
+    """The corpus: query name -> (procedure, its arguments)."""
+    out: dict[str, tuple] = {}
     for seed, factors in enumerate(GROUPS):
         g = group_new(factors)
         tag = "x".join(map(str, factors))
@@ -67,21 +68,21 @@ def golden_records() -> dict[str, str]:
             c1, c2 = rng.choice(classes), rng.choice(classes)
             shift = rng.choice(g.elements())
             shifted = LimitDescriptor(g, d1.x0.translate(shift), d1.prefix, d1.cycle)
-            out[f"iso_elementary/{tag}/{i}"] = _verdict(iso_elementary(d1, d2, BUDGET))
-            out[f"iso_elementary/{tag}/{i}-shifted"] = _verdict(
-                iso_elementary(d1, shifted, BUDGET)
+            out[f"iso_elementary/{tag}/{i}"] = (iso_elementary, (d1, d2, BUDGET))
+            out[f"iso_elementary/{tag}/{i}-shifted"] = (iso_elementary, (d1, shifted, BUDGET))
+            out[f"absorbs/{tag}/{i}"] = (absorbs, (d1, c1, BUDGET))
+            out[f"iso_general/{tag}/{i}"] = (
+                iso_general,
+                (
+                    LimitDescriptor(g, d1.x0, d1.prefix, d1.cycle, c1),
+                    LimitDescriptor(g, d2.x0, d2.prefix, d2.cycle, c2),
+                    BUDGET,
+                ),
             )
-            out[f"absorbs/{tag}/{i}"] = _verdict(absorbs(d1, c1, BUDGET))
-            general = iso_general(
-                LimitDescriptor(g, d1.x0, d1.prefix, d1.cycle, c1),
-                LimitDescriptor(g, d2.x0, d2.prefix, d2.cycle, c2),
-                BUDGET,
-            )
-            out[f"iso_general/{tag}/{i}"] = _verdict(general)
     trivial = group_new([1])
     k = k0_realization(uhf(trivial, 2))
     third = ProjCoords(trivial, k.orbits, (get_field(1).scalar(Fraction(1, 3)),))
-    out["in_k_group/z1/one-third"] = _verdict(in_k_group(k, third, BUDGET))
+    out["in_k_group/z1/one-third"] = (in_k_group, (k, third, BUDGET))
     for factors in ORACLE_GROUPS:
         g = group_new(factors)
         tag = "x".join(map(str, factors))
@@ -90,14 +91,25 @@ def golden_records() -> dict[str, str]:
             for j, d2 in enumerate(classes):
                 if d1.support.order * d2.support.order > ORACLE_MAX_DIM:
                     continue
-                inv = observed_tensor_invariant(d1, d2)
-                out[f"observed_tensor_invariant/{tag}/{i}-{j}"] = _invariant(inv)
+                out[f"observed_tensor_invariant/{tag}/{i}-{j}"] = (
+                    observed_tensor_invariant,
+                    (d1, d2),
+                )
+    return out
+
+
+def golden_records(queries: dict[str, tuple]) -> dict[str, str]:
+    """The corpus, evaluated: query name -> canonical JSON of the answer."""
+    out = {}
+    for name, (procedure, args) in queries.items():
+        answer = procedure(*args)
+        out[name] = _verdict(answer) if isinstance(answer, TriBool) else _invariant(answer)
     return out
 
 
 def test_corpus_matches_golden_file():
     want = json.loads(GOLDEN.read_text())
-    got = golden_records()
+    got = golden_records(golden_queries())
     assert sorted(got) == sorted(want)
     for key in sorted(want):
         assert got[key] == want[key], key

@@ -344,6 +344,80 @@ def test_certificate_with_non_integer_coordinates_does_not_replay(klein, pauli):
     assert verify_member_certificate(k, k.order_unit, "yes", cert)
 
 
+def test_member_witness_with_a_malformed_multiplicity_or_key_does_not_replay(klein):
+    a = LimitDescriptor(klein, const(klein, 2), (), (const(klein, 2),))
+    k = k0_realization(a)
+    r = in_k_group(k, k.order_unit, 4)
+    assert r.certificate["kind"] == "member-witness"
+    assert verify_member_certificate(k, k.order_unit, "yes", r.certificate)
+    term, *rest = r.certificate["witness"]
+    for mult in ("abc", True, None, 0.5, float(term["mult"]), str(term["mult"]), "4/2"):
+        cert = dict(r.certificate, witness=[dict(term, mult=mult)] + rest)
+        assert verify_member_certificate(k, k.order_unit, "yes", cert) is False, mult
+    for key in r.certificate:
+        cert = {k_: v for k_, v in r.certificate.items() if k_ != key}
+        assert verify_member_certificate(k, k.order_unit, "yes", cert) is False, key
+
+
+def test_prime_and_support_order_must_be_ints(trivial_group, pauli, x_t):
+    two, three = uhf(trivial_group, 2), uhf(trivial_group, 3)
+    r = iso_elementary(two, three, 8)
+    assert r.certificate["kind"] == "prime-separation" and r.certificate["prime"] == 2
+    assert verify_iso_certificate(two, three, "no", dict(r.certificate, prime=2.0)) is False
+
+    kt = k0_realization(two)
+    third = ProjCoords(trivial_group, kt.orbits, (get_field(1).scalar(Fraction(1, 3)),))
+    r = in_k_group(kt, third, 8)
+    assert r.certificate["kind"] == "norm-obstruction" and r.certificate["prime"] == 3
+    for prime in (3.0, "3", True):
+        cert = dict(r.certificate, prime=prime)
+        assert verify_member_certificate(kt, third, "no", cert) is False
+
+    a_prime = LimitDescriptor(x_t.group, x_t, (), (x_t,))
+    r = absorbs(a_prime, pauli, 8)
+    assert r.certificate["kind"] == "absorption" and r.certificate["support_order"] == 4
+    for order in (4.0, "4"):
+        cert = dict(r.certificate, support_order=order)
+        assert verify_absorbs_certificate(a_prime, pauli, "yes", cert) is False
+
+
+def test_iso_witness_needs_cone_witnesses_for_the_base_factors():
+    """A lattice witness proves membership in K, not in the positive cone.
+
+    A = M_e (x) M_{2g} (x) ... is trivially graded (every unit of M_{2g} has
+    degree g g^-1 = e); B has x0 = 3e + g, with a component of degree g.  So
+    A and B are not isomorphic, though b = 3e + g and b' = e equalize the
+    order units and pi(b')/pi(b) lies in K(A)."""
+    z2 = group_new([2])
+    e, g = z2.identity, z2.element((1,))
+    lbl = lambda terms: GroupRingElem.from_dict(z2, {h: Fraction(m) for h, m in terms})
+    a = LimitDescriptor(z2, lbl([(e, 1)]), (), (lbl([(g, 2)]),))
+    b_desc = LimitDescriptor(z2, lbl([(e, 3), (g, 1)]), (), (lbl([(g, 2)]),))
+    ka, kb = k0_realization(a), k0_realization(b_desc)
+    b, b2 = lbl([(e, 3), (g, 1)]), lbl([(e, 1)])
+    b_c, b2_c = project(b, ka.orbits), project(b2, ka.orbits)
+    forward = in_positive_cone(kb, b_c * b2_c.inverse())
+    backward = in_k_group(ka, b2_c * b_c.inverse())
+    assert forward.is_yes and backward.certificate == {
+        "kind": "member-witness",
+        "cone": False,
+        "index": 3,
+        "witness": [{"elem": [0], "mult": -1}, {"elem": [1], "mult": 3}],
+    }
+    cycle = {"delta": 1, "witness": [{"elem": [0], "mult": 1}]}
+    cert = {
+        "kind": "iso-witness",
+        "b": [{"elem": [0], "mult": 3}, {"elem": [1], "mult": 1}],
+        "b_prime": [{"elem": [0], "mult": 1}],
+        "base_forward": forward.certificate,
+        "base_backward": backward.certificate,
+        "cycle_forward": cycle,
+        "cycle_backward": cycle,
+    }
+    assert verify_iso_certificate(a, b_desc, "yes", cert) is False
+    assert not iso_elementary(a, b_desc, 8).is_yes
+
+
 # ---------------------------------------------------------------------------
 # isomorphism procedures
 
