@@ -121,17 +121,23 @@ class Subgroup:
     generators: tuple[GroupElem, ...] = field(compare=False, default=())
 
     def __post_init__(self):
-        if self.parent.identity not in self.elements:
+        # closure by a span walk: join the members in coordinate order, each
+        # new product checked to lie in the set; the walk ends on a subgroup
+        # of the set holding every member, in about |S| products, not |S|^2
+        elements = self.elements
+        if self.parent.identity not in elements:
             raise ValueError("subgroup must contain the identity")
-        for a in self.elements:
-            if a.inverse() not in self.elements:
-                raise ValueError("subgroup not closed under inverses")
-        for a in self.elements:
-            for b in self.elements:
-                if a * b not in self.elements:
+        if any(a.inverse() not in elements for a in elements):
+            raise ValueError("subgroup not closed under inverses")
+        span = {self.parent.identity}
+        for m in sorted(elements, key=lambda g: g.coords):
+            base, power = list(span), m
+            while power not in span:
+                coset = {h * power for h in base}
+                power = power * m
+                if not coset <= elements or power not in elements:
                     raise ValueError("subgroup not closed under products")
-        if self.parent.order % len(self.elements):
-            raise AssertionError("subgroup order does not divide group order")
+                span |= coset
 
     @property
     def order(self) -> int:
@@ -182,21 +188,11 @@ def trivial_subgroup(group: FinAbGroup) -> Subgroup:
     return subgroup_from_generators(group, ())
 
 
-def subgroup_join(a: Subgroup, b: Subgroup) -> Subgroup:
-    if a.parent != b.parent:
-        raise ValueError("subgroups live in different groups")
-    return subgroup_from_generators(a.parent, a.generators + b.generators)
-
-
 def subgroup_from_members(group: FinAbGroup, members) -> Subgroup:
     """The subgroup with exactly these elements, each one a generator, in
     coordinate order."""
     members = frozenset(members)
     return Subgroup(group, members, tuple(sorted(members, key=lambda g: g.coords)))
-
-
-def subgroup_intersection(a: Subgroup, b: Subgroup) -> Subgroup:
-    return subgroup_from_members(a.parent, a.elements & b.elements)
 
 
 def _addition_table(group: FinAbGroup) -> list[list[int]]:

@@ -13,9 +13,11 @@ dimension count that is asserted on every call.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import add, mod, mul
 
 from .abelian import (
     Character,
@@ -25,12 +27,12 @@ from .abelian import (
     all_subgroups,
     generator_words,
     subgroup_basis,
+    subgroup_from_generators,
     subgroup_from_members,
-    subgroup_intersection,
-    subgroup_join,
     trivial_subgroup,
 )
-from .groupring import GroupRingElem, subgroup_sum
+from .exactsolve import smith_normal_form
+from .groupring import GroupRingElem
 
 
 def _form(matrix, u, v, n: int) -> int:
@@ -99,17 +101,21 @@ class Bicharacter:
         _, _, coords = subgroup_basis(self.subgroup)
         return _form(self.matrix, coords[s], coords[t], self.conductor)
 
-    def _radical_members(self) -> list[GroupElem]:
-        """Elements t with beta(t, s) = 1 for every s: by bilinearity, those
-        with beta(t, g_j) = 1 for each basis generator g_j."""
+    def _rows(self) -> dict[GroupElem, tuple[int, ...]]:
+        """t -> the exponents of beta(t, g_j) over the basis generators g_j,
+        which is a_t M mod n for t's basis coordinates a_t."""
         _, _, coords = subgroup_basis(self.subgroup)
         n = self.conductor
         columns = list(zip(*self.matrix))
-        return [
-            t
+        return {
+            t: tuple(sum(map(mul, c, col)) % n for col in columns)
             for t, c in coords.items()
-            if all(sum(a * m for a, m in zip(c, col)) % n == 0 for col in columns)
-        ]
+        }
+
+    def _radical_members(self) -> list[GroupElem]:
+        """Elements t with beta(t, s) = 1 for every s: by bilinearity, those
+        with beta(t, g_j) = 1 for each basis generator g_j."""
+        return [t for t, row in self._rows().items() if not any(row)]
 
     def radical(self) -> Subgroup:
         return subgroup_from_members(self.subgroup.parent, self._radical_members())
@@ -213,7 +219,8 @@ class BrauerClass:
 
     def __post_init__(self):
         n = self.group.exponent
-        k = len(self.group.factors)
+        d = self.group.factors
+        k = len(d)
         if len(self.matrix) != k or any(len(r) != k for r in self.matrix):
             raise ValueError("Brauer matrix must be square over the dual generators")
         for i in range(k):
@@ -222,9 +229,8 @@ class BrauerClass:
             for j in range(k):
                 if (self.matrix[i][j] + self.matrix[j][i]) % n:
                     raise ValueError("Brauer bicharacter must be skew")
-
-    def value_exponent(self, chi_coords, psi_coords) -> int:
-        return _form(self.matrix, chi_coords, psi_coords, self.group.exponent)
+                if self.matrix[i][j] % (n // gcd(d[i], d[j])):
+                    raise ValueError("Brauer bicharacter not well defined on orders")
 
     def __mul__(self, other: "BrauerClass") -> "BrauerClass":
         n = self.group.exponent
@@ -244,75 +250,63 @@ class BrauerClass:
 
     def radical_dual(self) -> Subgroup:
         """Characters psi with B(., psi) trivial, as a subgroup of the dual
-        (identified with G through exponent coordinates)."""
-        k = len(self.group.factors)
-        units = [
-            tuple(int(i == j) for j in range(k)) for i in range(k)
-        ]
-        members = [
-            m
-            for m in self.group.elements()
-            if all(self.value_exponent(u, m.coords) == 0 for u in units)
-        ]
-        return subgroup_from_members(self.group, members)
+        (identified with G through exponent coordinates): the kernel of c -> Bc
+        mod n, spanned by column i of V times n / gcd(S_ii, n) for U B V = S."""
+        n = self.group.exponent
+        S, _U, V = smith_normal_form([list(row) for row in self.matrix])
+        gens = [[row[i] * (n // gcd(S[i][i], n)) for row in V] for i in range(len(V))]
+        return subgroup_from_generators(self.group, map(self.group.element, gens))
 
 
 def brauer_lift(d: DivisionClass) -> BrauerClass:
     """Lift a division class to a bicharacter B on the dual group.
 
     B(chi, psi) := chi(t_psi) where t_psi is the unique element of the support
-    pairing to psi's restriction under beta.
+    with beta(t_psi, .) equal to psi restricted: one table from the rows of
+    beta over the support basis to t finds it for every coordinate character.
     """
     G = d.group
     k = len(G.factors)
+    gens_b, _, _ = subgroup_basis(d.support)
+    table = {row: t for t, row in d.bichar._rows().items()}
     units = [Character(G, tuple(int(i == j) for j in range(k))) for i in range(k)]
-    pairing_elems = [_pairing_element(d, chi) for chi in units]
+    pairing_elems = [table[tuple(psi.value_exponent(g) for g in gens_b)] for psi in units]
     return BrauerClass(
         G, tuple(tuple(chi.value_exponent(t) for t in pairing_elems) for chi in units)
     )
 
 
-def _pairing_element(d: DivisionClass, psi: Character) -> GroupElem:
-    """The unique t in the support with beta(t, .) equal to psi restricted."""
-    gens_b, _, _ = subgroup_basis(d.support)
-    found = None
-    for t in d.support.sorted_elements():
-        if all(d.bichar.exponent_of(t, g) == psi.value_exponent(g) for g in gens_b):
-            if found is not None:
-                raise AssertionError("pairing element not unique; beta degenerate?")
-            found = t
-    if found is None:
-        raise AssertionError("pairing element missing; beta degenerate?")
-    return found
-
-
 def brauer_unlift(b: BrauerClass) -> tuple[Subgroup, Bicharacter]:
-    """Reconstruct (support, beta) of the division class with lift ``b``."""
+    """Reconstruct (support, beta) of the division class with lift ``b``.
+
+    The carrier psi -> t, with chi(t) = B(chi, psi) for every chi, sends the
+    j-th standard character to column j of B, row i divided by n/d_i.  The
+    support is the span of those images, and beta(g_i, g_j) = psi_i(g_j) for
+    a preimage psi_i of basis element g_i, read off one generator search over
+    the images.  Any preimage serves: one psi with B(., psi) trivial is
+    trivial on the image, as psi(carrier(phi)) = B(psi, phi) = -B(phi, psi).
+    """
     G = b.group
-    n = G.exponent
-    k = len(G.factors)
-    carrier: dict[GroupElem, GroupElem] = {}
-    for psi in G.elements():
-        coords = []
-        for i in range(k):
-            chi_i = tuple(int(i == j) for j in range(k))
-            val = b.value_exponent(chi_i, psi.coords)
-            step = n // G.factors[i]
-            if val % step:
-                raise AssertionError("dual bicharacter value out of image")
-            coords.append((val // step) % G.factors[i])
-        g = G.element(tuple(coords))
-        carrier[psi] = g
-    support = subgroup_from_members(G, carrier.values())
+    n, d, k = G.exponent, G.factors, len(G.factors)
+    images = [G.element([b.matrix[i][j] * d[i] // n for i in range(k)]) for j in range(k)]
+    words = generator_words(G, images)
+    support = Subgroup(G, frozenset(words), tuple(images))
     gens_b, _, _ = subgroup_basis(support)
-    reps: dict[GroupElem, GroupElem] = {}
-    for psi, g in carrier.items():
-        reps.setdefault(g, psi)
     rows = tuple(
-        tuple(Character(G, reps[gi].coords).value_exponent(gj) for gj in gens_b)
+        tuple(Character(G, words[gi]).value_exponent(gj) for gj in gens_b)
         for gi in gens_b
     )
     return support, Bicharacter(support, rows)
+
+
+def _convolve(factors, a: dict, b: dict) -> Counter:
+    """The product of two group ring elements given as integer counts on
+    coordinate tuples."""
+    out: Counter = Counter()
+    for x, cx in a.items():
+        for y, cy in b.items():
+            out[tuple(map(mod, map(add, x, y), factors))] += cx * cy
+    return out
 
 
 def brauer_mul(
@@ -320,35 +314,40 @@ def brauer_mul(
 ) -> tuple[DivisionClass, GroupRingElem, Subgroup]:
     """Invariants (E, y, H) of D (x) D'^op = M_y(E); H = T*T'.
 
-    y is uniform with multiplicity m on a full set of Supp(E)-coset
-    representatives of H, normalized to contain the identity coset; the
-    dimension identity y*ybar*x_{T_E} = x_T*x_{T'} is asserted.
+    y is uniform with multiplicity m on the first element, in coordinate
+    order, of each Supp(E)-coset of H.  Past lift and unlift all runs on
+    integer counts over coordinate tuples: H is the support of x_T*x_{T'},
+    whose count at the identity is |T cap T'|, and the dimension identity
+    y*ybar*x_{T_E} = x_T*x_{T'} is asserted.
     """
     if d.group != dprime.group:
         raise ValueError("division classes over different groups")
-    B = brauer_lift(d) * brauer_lift(dprime).inverse()
-    t_e, beta_e = brauer_unlift(B)
+    G = d.group
+    t_e, beta_e = brauer_unlift(brauer_lift(d) * brauer_lift(dprime).inverse())
     e_class = DivisionClass(beta_e)
-    H = subgroup_join(d.support, dprime.support)
+    x_t, x_tprime, x_te = (
+        dict.fromkeys((g.coords for g in sub.elements), 1)
+        for sub in (d.support, dprime.support, t_e)
+    )
+    rhs = _convolve(G.factors, x_t, x_tprime)
+    gens = d.support.generators + dprime.support.generators
+    H = Subgroup(G, frozenset(GroupElem(G, h) for h in rhs), gens)
     if not t_e <= H:
         raise RuntimeError("support of the product class escaped T*T'")
-    inter = subgroup_intersection(d.support, dprime.support)
-    m_sq = Fraction(inter.order * t_e.order, H.order)
+    m_sq = Fraction(rhs[G.identity.coords] * t_e.order, H.order)
     if m_sq.denominator != 1 or isqrt(int(m_sq)) ** 2 != int(m_sq):
         raise RuntimeError("matrix multiplicity is not a perfect integer square")
     mult = isqrt(int(m_sq))
-    reps = []
-    covered: set[GroupElem] = set()
-    for h in H.sorted_elements():
-        if h in covered:
-            continue
-        reps.append(h)
-        covered.update(h * t for t in t_e.elements)
-    y = GroupRingElem.from_dict(d.group, {r: Fraction(mult) for r in reps})
-    lhs = y * y.bar() * subgroup_sum(t_e)
-    rhs = subgroup_sum(d.support) * subgroup_sum(dprime.support)
-    if lhs != rhs:
+    reps: list[tuple[int, ...]] = []
+    covered: Counter = Counter()
+    for h in sorted(rhs):
+        if h not in covered:
+            reps.append(h)
+            covered.update(_convolve(G.factors, {h: mult}, x_te))
+    ybar = {tuple((-a) % f for a, f in zip(r, G.factors)): mult for r in reps}
+    if _convolve(G.factors, covered, ybar) != rhs:
         raise RuntimeError("dimension identity failed for the computed multiset")
+    y = GroupRingElem.from_dict(G, {GroupElem(G, r): Fraction(mult) for r in reps})
     return e_class, y, H
 
 
@@ -359,9 +358,6 @@ def enumerate_division_classes(group: FinAbGroup) -> list[DivisionClass]:
     for sub in all_subgroups(group):
         gens, orders, _ = subgroup_basis(sub)
         r = len(gens)
-        if r == 0:
-            out.append(DivisionClass(Bicharacter.trivial(sub)))
-            continue
         slots = [(i, j) for i in range(r) for j in range(i + 1, r)]
         choices = [range(gcd(orders[i], orders[j])) for i, j in slots]
         for combo in itertools.product(*choices):

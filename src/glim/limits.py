@@ -773,34 +773,21 @@ def _named_orbit(k0: K0Descriptor, cert: dict) -> int:
     return [list(o.representative.exponents) for o in k0.orbits].index(rep)
 
 
-def _cone_member(k0: K0Descriptor, z: ProjCoords, verdict: str, cert: dict) -> bool:
-    """Replay membership in the positive cone: a yes must be a cone witness,
-    because a lattice witness (``cone`` false) shows membership in K only."""
-    cone_witness = verdict != "yes" or cert["cone"] is True
-    return cone_witness and verify_member_certificate(k0, z, verdict, cert)
+_MEMBER = {"member-witness": _YES, "norm-obstruction": _NO, "budget-exhausted": _UNKNOWN}
 
 
-@_replay({"member-witness": _YES, "negative-trivial-coordinate": _NO,
-          "zero-trivial-coordinate": _NO, "irrational-trivial-coordinate": _NO,
-          "norm-obstruction": _NO, "budget-exhausted": _UNKNOWN})
+@_replay(_MEMBER)
 def verify_member_certificate(
     k0: K0Descriptor, z: ProjCoords, verdict: str, cert: dict
 ) -> bool:
-    """Replay a membership certificate by exact arithmetic."""
+    """Replay a certificate of membership in the realized K group."""
     kind = cert["kind"]
-    trivial = z.values[0]
     if kind == "member-witness":
         w = payload_elem(k0.group, cert["witness"])
         if not (w.is_nonneg_integer if _exact(cert["cone"], bool) else w.is_integer):
             return False
         index = _exact(cert["index"], int)
         return index >= 1 and project(w, k0.orbits) == z * k0.cycle**index
-    if kind == "negative-trivial-coordinate":
-        return trivial.is_rational and trivial.as_rational() < 0
-    if kind == "zero-trivial-coordinate":
-        return trivial.is_rational and trivial.as_rational() == 0 and not z.is_zero
-    if kind == "irrational-trivial-coordinate":
-        return not trivial.is_rational
     if kind == "norm-obstruction":
         # any p >= 2 prime to the cycle norm and dividing the value's norm
         # denominator has a prime factor that no denominator can clear
@@ -817,6 +804,26 @@ def verify_member_certificate(
     return kind == "budget-exhausted"
 
 
+@_replay({**_MEMBER, "negative-trivial-coordinate": _NO,
+          "zero-trivial-coordinate": _NO, "irrational-trivial-coordinate": _NO})
+def verify_cone_certificate(
+    k0: K0Descriptor, z: ProjCoords, verdict: str, cert: dict
+) -> bool:
+    """Replay a certificate of membership in the positive cone.  The
+    trivial-coordinate kinds refute the cone only; a yes must be a cone
+    witness, as a lattice witness (``cone`` false) shows membership in K."""
+    kind = cert["kind"]
+    trivial = z.values[0]
+    if kind == "negative-trivial-coordinate":
+        return trivial.is_rational and trivial.as_rational() < 0
+    if kind == "zero-trivial-coordinate":
+        return trivial.is_rational and trivial.as_rational() == 0 and not z.is_zero
+    if kind == "irrational-trivial-coordinate":
+        return not trivial.is_rational
+    cone_witness = verdict != "yes" or cert["cone"] is True
+    return cone_witness and verify_member_certificate(k0, z, verdict, cert)
+
+
 @_replay({"support-deficit": _NO, "scaling": _ANY})
 def verify_scaling_certificate(
     k0: K0Descriptor, c: GroupRingElem, verdict: str, cert: dict
@@ -826,7 +833,7 @@ def verify_scaling_certificate(
     if payload_elem(k0.group, cert["scaler"]) != c:
         return False
     target = k0.ones() * project(c.bar(), k0.orbits).inverse()
-    return _cone_member(k0, target, verdict, cert["inner"])
+    return verify_cone_certificate(k0, target, verdict, cert["inner"])
 
 
 _ABSORPTION = {"support-obstruction": _NO, "absorption": _ANY}
@@ -896,7 +903,7 @@ def verify_iso_certificate(
             ("forward", k0b, k0a, b_c * b2_c.inverse()),
             ("backward", k0a, k0b, b2_c * b_c.inverse()),
         ):
-            if not _cone_member(k_src, ratio, "yes", cert["base_" + way]):
+            if not verify_cone_certificate(k_src, ratio, "yes", cert["base_" + way]):
                 return False
             delta = _exact(cert["cycle_" + way]["delta"], int)
             u = payload_elem(d.group, cert["cycle_" + way]["witness"])

@@ -159,6 +159,29 @@ def test_subgroup_rejects_sets_that_are_not_subgroups():
         Subgroup(klein, frozenset(klein.element(c) for c in [(0, 0), (1, 0), (0, 1)]))
 
 
+def _closed_under_products(group, members) -> bool:
+    """The all-pairs definition: a nonempty finite set closed under
+    products is a subgroup."""
+    return group.identity in members and all(a * b in members for a in members for b in members)
+
+
+@pytest.mark.parametrize("factors", [(8,), (4, 2), (2, 2, 2), (3, 3)])
+def test_subgroup_accepts_exactly_the_sets_closed_under_products(factors):
+    group = group_new(factors)
+    elems = group.elements()
+    accepted = set()
+    for bits in itertools.product([False, True], repeat=len(elems)):
+        members = frozenset(g for g, keep in zip(elems, bits) if keep)
+        try:
+            Subgroup(group, members)
+        except ValueError:
+            assert not _closed_under_products(group, members), members
+        else:
+            assert _closed_under_products(group, members), members
+            accepted.add(members)
+    assert accepted == {sub.elements for sub in all_subgroups(group)}
+
+
 def test_quotient_examples():
     klein = group_new([2, 2])
     whole = subgroup_from_generators(klein, [klein.element((1, 0)), klein.element((0, 1))])

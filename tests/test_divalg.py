@@ -12,6 +12,7 @@ from glim.abelian import (
 )
 from glim.divalg import (
     Bicharacter,
+    BrauerClass,
     DivisionClass,
     bicharacter_from_generator_data,
     brauer_lift,
@@ -88,6 +89,15 @@ def test_brauer_lift_examples(klein, klein_full, pauli):
     assert {x.coords for x in lift.radical_dual().elements} == {
         x.coords for x in tperp.elements
     }
+
+
+def test_brauer_class_must_be_well_defined_on_the_dual_generators():
+    # over Z2 x Z4, B(chi_1, chi_2) has order dividing 2, so its exponent
+    # mod 4 is even; 1 is alternating and skew but names no bicharacter
+    g = group_new([2, 4])
+    assert BrauerClass(g, ((0, 2), (2, 0))).radical_dual().order == 2
+    with pytest.raises(ValueError, match="well defined"):
+        BrauerClass(g, ((0, 1), (3, 0)))
 
 
 def test_lift_unlift_round_trip(klein, pauli):

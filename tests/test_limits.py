@@ -21,6 +21,7 @@ from glim.limits import (
     support_invariants,
     tensor_elementary,
     verify_absorbs_certificate,
+    verify_cone_certificate,
     verify_general_iso_certificate,
     verify_iso_certificate,
     verify_member_certificate,
@@ -230,7 +231,20 @@ def test_member_k_plus_examples(trivial_group):
     r = in_positive_cone(kt, minus, 4)
     assert r.verdict == "no"
     assert r.certificate["kind"] == "negative-trivial-coordinate"
-    assert verify_member_certificate(kt, minus, r.verdict, r.certificate)
+    assert verify_cone_certificate(kt, minus, r.verdict, r.certificate)
+
+
+def test_trivial_coordinate_kinds_refute_the_cone_only(trivial_group):
+    # -1 lies in K but not in the positive cone, so a trivial-coordinate no
+    # replays for the cone and never for K
+    kt = k0_realization(uhf(trivial_group, 2))
+    minus = ProjCoords(trivial_group, kt.orbits, (get_field(1).scalar(-1),))
+    assert in_k_group(kt, minus, 4).verdict == "yes"
+    cert = {"kind": "negative-trivial-coordinate"}
+    assert verify_cone_certificate(kt, minus, "no", cert)
+    assert verify_member_certificate(kt, minus, "no", cert) is False
+    for kind in ("zero-trivial-coordinate", "irrational-trivial-coordinate"):
+        assert verify_member_certificate(kt, minus, "no", {"kind": kind}) is False
 
 
 def test_member_monotonicity(klein):

@@ -17,11 +17,13 @@ from glim.groupring import GroupRingElem
 from glim.limits import (
     absorbs,
     in_k_group,
+    in_positive_cone,
     iso_elementary,
     iso_general,
     k0_realization,
     verify_absorbs_certificate,
     verify_absorbs_k0_certificate,
+    verify_cone_certificate,
     verify_general_iso_certificate,
     verify_iso_certificate,
     verify_member_certificate,
@@ -35,10 +37,12 @@ REPLAY = {
     absorbs: verify_absorbs_certificate,
     iso_general: verify_general_iso_certificate,
     in_k_group: verify_member_certificate,
+    in_positive_cone: verify_cone_certificate,
 }
 # the certificate kinds each verify_* replays
 KINDS = {
-    verify_member_certificate: {
+    verify_member_certificate: {"member-witness", "norm-obstruction", "budget-exhausted"},
+    verify_cone_certificate: {
         "member-witness",
         "negative-trivial-coordinate",
         "zero-trivial-coordinate",
@@ -79,14 +83,18 @@ UNREAD = {
 @functools.cache
 def corpus() -> list[tuple]:
     """(verify, x, y, verdict, certificate) for every decision query of the
-    golden corpus, plus the absorption queries replayed on their realized
-    datum and, for an ``absorption`` certificate, its inner scaling one."""
+    golden corpus, plus the membership queries asked of the positive cone,
+    the absorption queries replayed on their realized datum and, for an
+    ``absorption`` certificate, its inner scaling one."""
     cases = []
     for procedure, args in golden_queries().values():
         if procedure not in REPLAY:
             continue
         r = procedure(*args)
         cases.append((REPLAY[procedure], args[0], args[1], r.verdict, r.certificate))
+        if procedure is in_k_group:
+            r = in_positive_cone(*args)
+            cases.append((REPLAY[in_positive_cone], args[0], args[1], r.verdict, r.certificate))
         if procedure is absorbs:
             k0 = k0_realization(args[0])
             cases.append((verify_absorbs_k0_certificate, k0, args[1], r.verdict, r.certificate))
