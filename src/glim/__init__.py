@@ -16,7 +16,6 @@ from .abelian import (
     perp_of_orbits,
     perp_of_subgroup,
     quotient,
-    subgroup_from_generators,
 )
 from .cyclotomic import CycNum, CyclotomicField, get_field
 from .divalg import (

@@ -1,10 +1,11 @@
 """Finite abelian groups, subgroups, quotients, characters, and Galois orbits.
 
 Groups are products of cyclic factors with elements stored as reduced
-coordinate tuples.  Subgroups are stored by full element enumeration, which
-is exact and ample at the documented scale (|G| <= 64).  Quotients are
-normalized through the Smith normal form so equal quotients get equal factor
-lists.
+coordinate tuples.  A subgroup is the span of its generators, stored by full
+element enumeration, which is exact and ample at the documented scale
+(|G| <= 64); ``subgroup_from_members`` is the one checked conversion from an
+element set.  Quotients are normalized through the Smith normal form so equal
+quotients get equal factor lists.
 """
 
 from __future__ import annotations
@@ -116,28 +117,24 @@ class GroupElem:
 
 @dataclass(frozen=True)
 class Subgroup:
+    """The span of ``generators`` in ``parent``, so closed by construction.
+
+    ``words`` maps each element to the first exponent word over the
+    generators that reaches it (``generator_words``); equality and hashing
+    read only the parent and the elements.
+    """
+
     parent: FinAbGroup
-    elements: frozenset[GroupElem]
-    generators: tuple[GroupElem, ...] = field(compare=False, default=())
+    generators: tuple[GroupElem, ...] = field(compare=False)
+    words: dict[GroupElem, tuple[int, ...]] = field(init=False, compare=False)
+    elements: frozenset[GroupElem] = field(init=False)
 
     def __post_init__(self):
-        # closure by a span walk: join the members in coordinate order, each
-        # new product checked to lie in the set; the walk ends on a subgroup
-        # of the set holding every member, in about |S| products, not |S|^2
-        elements = self.elements
-        if self.parent.identity not in elements:
-            raise ValueError("subgroup must contain the identity")
-        if any(a.inverse() not in elements for a in elements):
-            raise ValueError("subgroup not closed under inverses")
-        span = {self.parent.identity}
-        for m in sorted(elements, key=lambda g: g.coords):
-            base, power = list(span), m
-            while power not in span:
-                coset = {h * power for h in base}
-                power = power * m
-                if not coset <= elements or power not in elements:
-                    raise ValueError("subgroup not closed under products")
-                span |= coset
+        gens = tuple(self.generators)
+        words = generator_words(self.parent, gens)
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "elements", frozenset(words))
 
     @property
     def order(self) -> int:
@@ -179,20 +176,26 @@ def generator_words(group: FinAbGroup, gens) -> dict[GroupElem, tuple[int, ...]]
     return words
 
 
-def subgroup_from_generators(group: FinAbGroup, gens) -> Subgroup:
-    gens = tuple(gens)
-    return Subgroup(group, frozenset(generator_words(group, gens)), gens)
-
-
-def trivial_subgroup(group: FinAbGroup) -> Subgroup:
-    return subgroup_from_generators(group, ())
+def _relation_rows(group: FinAbGroup, elements) -> list[list[int]]:
+    """The coordinates of ``elements`` in coordinate order, then the rows
+    d_i e_i: together they span the preimage in Z^k of the subgroup the
+    elements generate."""
+    k = len(group.factors)
+    rows = [list(g.coords) for g in sorted(elements, key=lambda g: g.coords)]
+    return rows + [[group.factors[i] if j == i else 0 for j in range(k)] for i in range(k)]
 
 
 def subgroup_from_members(group: FinAbGroup, members) -> Subgroup:
-    """The subgroup with exactly these elements, each one a generator, in
-    coordinate order."""
+    """The subgroup with exactly these elements, generated by the Hermite
+    basis of their relation rows.  That span holds every member, so it is
+    the member set exactly when the set is a subgroup; otherwise this is an
+    error."""
     members = frozenset(members)
-    return Subgroup(group, members, tuple(sorted(members, key=lambda g: g.coords)))
+    basis = map(group.element, hermite_basis(_relation_rows(group, members)))
+    sub = Subgroup(group, tuple(g for g in basis if not g.is_identity))
+    if sub.elements != members:
+        raise ValueError("the member set is not a subgroup")
+    return sub
 
 
 def _addition_table(group: FinAbGroup) -> list[list[int]]:
@@ -244,11 +247,7 @@ def all_subgroups(group: FinAbGroup) -> tuple[Subgroup, ...]:
                     nxt.append(bigger)
         frontier = nxt
     return tuple(
-        Subgroup(
-            group,
-            frozenset(elems[i] for i in sub),
-            tuple(elems[g] for g in found[sub]),
-        )
+        Subgroup(group, tuple(elems[g] for g in found[sub]))
         for sub in sorted(found, key=lambda s: (len(s), sorted(s)))
     )
 
@@ -263,11 +262,12 @@ def subgroup_basis(sub: Subgroup):
     """
     G = sub.parent
     k = len(G.factors)
-    D = [[G.factors[i] if j == i else 0 for j in range(k)] for i in range(k)]
-    B = hermite_basis([list(g.coords) for g in sub.sorted_elements()] + D)
+    rows = _relation_rows(G, sub.elements)
+    B = hermite_basis(rows)
     assert len(B) == k, "subgroup lattice must have full rank"
-    # W = D * B^{-1} over Z, rows span the kernel of Z^k -> sub, v -> v*B
-    W = [_solve_row_upper(B, row) for row in D]
+    # W = D * B^{-1} over Z for D = diag(d_i), the last k relation rows;
+    # rows of W span the kernel of Z^k -> sub, v -> v*B
+    W = [_solve_row_upper(B, row) for row in rows[-k:]]
     # U W V = S and W = D B^-1 give U D = S V^-1 B: the rows of V^-1 B, read
     # off U D, with S_ii > 1 are independent generators of orders S_ii
     S, U, _V = smith_normal_form(W)
@@ -309,51 +309,23 @@ def _solve_row_upper(B: list[list[int]], target: list[int]) -> list[int]:
     return x
 
 
-@dataclass(frozen=True)
-class QuotientMap:
-    """The projection G -> G/T, with kernel exactly T."""
-
-    source: FinAbGroup
-    target: FinAbGroup
-    col_transform: tuple[tuple[int, ...], ...]  # V from the SNF of the relation lattice
-    moduli: tuple[int, ...]
-    kept: tuple[int, ...]
-
-    def __call__(self, g: GroupElem) -> GroupElem:
-        if g.group != self.source:
-            raise ValueError("element not in the source group")
-        k = len(self.source.factors)
-        w = [
-            sum(g.coords[i] * self.col_transform[i][j] for i in range(k))
-            for j in range(k)
-        ]
-        if not self.kept:
-            return self.target.identity
-        return self.target.element(tuple(w[j] % self.moduli[j] for j in self.kept))
-
-
-def quotient(group: FinAbGroup, sub: Subgroup) -> tuple[FinAbGroup, QuotientMap]:
-    """G/T in Smith-normalized cyclic-factor form, plus the projection map."""
+def quotient(group: FinAbGroup, sub: Subgroup) -> tuple[FinAbGroup, dict[GroupElem, GroupElem]]:
+    """G/T in Smith-normalized cyclic-factor form, and the projection
+    G -> G/T as a table: the image of every element of G."""
     if sub.parent != group:
         raise ValueError("subgroup belongs to a different group")
-    k = len(group.factors)
-    rows = [list(g.coords) for g in sub.sorted_elements()]
-    rows += [[group.factors[i] if j == i else 0 for j in range(k)] for i in range(k)]
-    B = hermite_basis(rows)
-    S, _U, V = smith_normal_form(B)
-    moduli = [S[i][i] for i in range(k)]
-    kept = tuple(i for i in range(k) if moduli[i] > 1)
-    target = FinAbGroup(tuple(moduli[i] for i in kept) or (1,))
-    qmap = QuotientMap(
-        source=group,
-        target=target,
-        col_transform=tuple(tuple(row) for row in V),
-        moduli=tuple(moduli),
-        kept=kept,
-    )
-    for t in sub.elements:
-        assert qmap(t).is_identity, "projection must kill the subgroup"
-    return target, qmap
+    S, _U, V = smith_normal_form(hermite_basis(_relation_rows(group, sub.elements)))
+    kept = [j for j in range(len(group.factors)) if S[j][j] > 1]
+    target = FinAbGroup(tuple(S[j][j] for j in kept) or (1,))
+    alpha = {
+        g: target.element(
+            tuple(sum(c * V[i][j] for i, c in enumerate(g.coords)) for j in kept)
+            or (0,)
+        )
+        for g in group.elements()
+    }
+    assert all(alpha[t].is_identity for t in sub.elements), "projection must kill the subgroup"
+    return target, alpha
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 from operator import add, mod, mul
 
@@ -25,11 +26,8 @@ from .abelian import (
     GroupElem,
     Subgroup,
     all_subgroups,
-    generator_words,
     subgroup_basis,
-    subgroup_from_generators,
     subgroup_from_members,
-    trivial_subgroup,
 )
 from .exactsolve import smith_normal_form
 from .groupring import GroupRingElem
@@ -50,6 +48,24 @@ def _scaled(matrix, scale: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple((x * scale) % n for x in row) for row in matrix)
 
 
+def _check_alternating(matrix, orders, n: int) -> None:
+    """Reject an exponent matrix (against zeta_n) that is not an alternating
+    bicharacter over generators of these orders: square over them, zero on
+    the diagonal, skew, and each entry a multiple of n / gcd of the two
+    generator orders."""
+    r = len(orders)
+    if len(matrix) != r or any(len(row) != r for row in matrix):
+        raise ValueError("bicharacter matrix does not match the generators")
+    for i in range(r):
+        if matrix[i][i] % n:
+            raise ValueError("bicharacter is not alternating (diagonal)")
+        for j in range(r):
+            if (matrix[i][j] + matrix[j][i]) % n:
+                raise ValueError("bicharacter is not alternating (skew)")
+            if matrix[i][j] % (n // gcd(orders[i], orders[j])):
+                raise ValueError("bicharacter not well defined on generator orders")
+
+
 @dataclass(frozen=True)
 class Bicharacter:
     """An alternating bicharacter on a subgroup, as zeta-exponents over the
@@ -59,23 +75,7 @@ class Bicharacter:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        gens, orders, _ = subgroup_basis(self.subgroup)
-        n = self.conductor
-        r = len(gens)
-        if len(self.matrix) != r or any(len(row) != r for row in self.matrix):
-            raise ValueError("bicharacter matrix does not match the subgroup basis")
-        for i in range(r):
-            if self.matrix[i][i] % n:
-                raise ValueError("bicharacter is not alternating (diagonal)")
-            for j in range(r):
-                m = self.matrix[i][j]
-                if (m + self.matrix[j][i]) % n:
-                    raise ValueError("bicharacter is not alternating (skew)")
-                step = n // gcd(orders[i], orders[j])
-                if m % step:
-                    raise ValueError(
-                        "bicharacter not well defined on generator orders"
-                    )
+        _check_alternating(self.matrix, subgroup_basis(self.subgroup)[1], self.conductor)
 
     @property
     def conductor(self) -> int:
@@ -101,6 +101,7 @@ class Bicharacter:
         _, _, coords = subgroup_basis(self.subgroup)
         return _form(self.matrix, coords[s], coords[t], self.conductor)
 
+    @cached_property
     def _rows(self) -> dict[GroupElem, tuple[int, ...]]:
         """t -> the exponents of beta(t, g_j) over the basis generators g_j,
         which is a_t M mod n for t's basis coordinates a_t."""
@@ -115,7 +116,7 @@ class Bicharacter:
     def _radical_members(self) -> list[GroupElem]:
         """Elements t with beta(t, s) = 1 for every s: by bilinearity, those
         with beta(t, g_j) = 1 for each basis generator g_j."""
-        return [t for t, row in self._rows().items() if not any(row)]
+        return [t for t, row in self._rows.items() if not any(row)]
 
     def radical(self) -> Subgroup:
         return subgroup_from_members(self.subgroup.parent, self._radical_members())
@@ -147,8 +148,8 @@ def bicharacter_from_generator_data(
     if len(matrix) != m or any(len(row) != m for row in matrix):
         raise ValueError("beta matrix shape does not match the generator count")
     M = _scaled(matrix, n // zeta_order, n)
-    words = generator_words(group, gens)
-    sub = Subgroup(group, frozenset(words), tuple(gens))
+    sub = Subgroup(group, tuple(gens))
+    words = sub.words
 
     def pairing(a: GroupElem, b: GroupElem) -> int:
         return _form(M, words[a], words[b], n)
@@ -195,7 +196,7 @@ class DivisionClass:
 
     @staticmethod
     def trivial(group: FinAbGroup) -> "DivisionClass":
-        return DivisionClass(Bicharacter.trivial(trivial_subgroup(group)))
+        return DivisionClass(Bicharacter.trivial(Subgroup(group, ())))
 
     @property
     def is_trivial(self) -> bool:
@@ -218,19 +219,7 @@ class BrauerClass:
     matrix: tuple[tuple[int, ...], ...]  # over the standard dual generators
 
     def __post_init__(self):
-        n = self.group.exponent
-        d = self.group.factors
-        k = len(d)
-        if len(self.matrix) != k or any(len(r) != k for r in self.matrix):
-            raise ValueError("Brauer matrix must be square over the dual generators")
-        for i in range(k):
-            if self.matrix[i][i] % n:
-                raise ValueError("Brauer bicharacter must be alternating")
-            for j in range(k):
-                if (self.matrix[i][j] + self.matrix[j][i]) % n:
-                    raise ValueError("Brauer bicharacter must be skew")
-                if self.matrix[i][j] % (n // gcd(d[i], d[j])):
-                    raise ValueError("Brauer bicharacter not well defined on orders")
+        _check_alternating(self.matrix, self.group.factors, self.group.exponent)
 
     def __mul__(self, other: "BrauerClass") -> "BrauerClass":
         n = self.group.exponent
@@ -255,7 +244,7 @@ class BrauerClass:
         n = self.group.exponent
         S, _U, V = smith_normal_form([list(row) for row in self.matrix])
         gens = [[row[i] * (n // gcd(S[i][i], n)) for row in V] for i in range(len(V))]
-        return subgroup_from_generators(self.group, map(self.group.element, gens))
+        return Subgroup(self.group, tuple(map(self.group.element, gens)))
 
 
 def brauer_lift(d: DivisionClass) -> BrauerClass:
@@ -268,7 +257,7 @@ def brauer_lift(d: DivisionClass) -> BrauerClass:
     G = d.group
     k = len(G.factors)
     gens_b, _, _ = subgroup_basis(d.support)
-    table = {row: t for t, row in d.bichar._rows().items()}
+    table = {row: t for t, row in d.bichar._rows.items()}
     units = [Character(G, tuple(int(i == j) for j in range(k))) for i in range(k)]
     pairing_elems = [table[tuple(psi.value_exponent(g) for g in gens_b)] for psi in units]
     return BrauerClass(
@@ -289,11 +278,10 @@ def brauer_unlift(b: BrauerClass) -> tuple[Subgroup, Bicharacter]:
     G = b.group
     n, d, k = G.exponent, G.factors, len(G.factors)
     images = [G.element([b.matrix[i][j] * d[i] // n for i in range(k)]) for j in range(k)]
-    words = generator_words(G, images)
-    support = Subgroup(G, frozenset(words), tuple(images))
+    support = Subgroup(G, tuple(images))
     gens_b, _, _ = subgroup_basis(support)
     rows = tuple(
-        tuple(Character(G, words[gi]).value_exponent(gj) for gj in gens_b)
+        tuple(Character(G, support.words[gi]).value_exponent(gj) for gj in gens_b)
         for gi in gens_b
     )
     return support, Bicharacter(support, rows)
@@ -316,9 +304,10 @@ def brauer_mul(
 
     y is uniform with multiplicity m on the first element, in coordinate
     order, of each Supp(E)-coset of H.  Past lift and unlift all runs on
-    integer counts over coordinate tuples: H is the support of x_T*x_{T'},
-    whose count at the identity is |T cap T'|, and the dimension identity
-    y*ybar*x_{T_E} = x_T*x_{T'} is asserted.
+    integer counts over coordinate tuples: H is the span of both generator
+    tuples and the support of x_T*x_{T'}, whose count at the identity is
+    |T cap T'|, and the dimension identity y*ybar*x_{T_E} = x_T*x_{T'} is
+    asserted.
     """
     if d.group != dprime.group:
         raise ValueError("division classes over different groups")
@@ -330,8 +319,7 @@ def brauer_mul(
         for sub in (d.support, dprime.support, t_e)
     )
     rhs = _convolve(G.factors, x_t, x_tprime)
-    gens = d.support.generators + dprime.support.generators
-    H = Subgroup(G, frozenset(GroupElem(G, h) for h in rhs), gens)
+    H = Subgroup(G, d.support.generators + dprime.support.generators)
     if not t_e <= H:
         raise RuntimeError("support of the product class escaped T*T'")
     m_sq = Fraction(rhs[G.identity.coords] * t_e.order, H.order)

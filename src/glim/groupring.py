@@ -56,10 +56,6 @@ class GroupRingElem:
         return GroupRingElem.from_dict(group, {group.identity: 1})
 
     @staticmethod
-    def monomial(g: GroupElem, coeff=1) -> "GroupRingElem":
-        return GroupRingElem.from_dict(g.group, {g: Fraction(coeff)})
-
-    @staticmethod
     def constant(group: FinAbGroup, value) -> "GroupRingElem":
         return GroupRingElem.from_dict(group, {group.identity: Fraction(value)})
 

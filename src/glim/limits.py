@@ -27,7 +27,6 @@ from .abelian import (
     GroupElem,
     Subgroup,
     dual_and_orbits,
-    perp_of_orbits,
     quotient,
 )
 from .cyclotomic import CycNum
@@ -168,7 +167,7 @@ def quotient_pushforward(d: LimitDescriptor, sub: Subgroup) -> LimitDescriptor:
     def push(z: GroupRingElem) -> GroupRingElem:
         data: dict[GroupElem, Fraction] = {}
         for g, c in z.coeffs:
-            h = alpha(g)
+            h = alpha[g]
             data[h] = data.get(h, Fraction(0)) + c
         return GroupRingElem.from_dict(target, data)
 
@@ -410,14 +409,12 @@ def absorbs_k0(k0: K0Descriptor, d_class: DivisionClass, budget: int = DEFAULT_B
     """Absorption test against a realized K-theory datum."""
     if d_class.group != k0.group:
         raise ValueError("division class over the wrong group")
-    sperp = perp_of_orbits(k0.group, k0.orbits)
+    # the first t of T outside S-perp, and the first orbit of S not trivial on it
     for t in d_class.support.sorted_elements():
-        if t not in sperp:
-            bad = next(
-                o
-                for o in k0.orbits
-                if o.representative.value_exponent(t) != 0
-            )
+        bad = next(
+            (o for o in k0.orbits if o.representative.value_exponent(t) != 0), None
+        )
+        if bad is not None:
             return TriBool.no(
                 {
                     "kind": "support-obstruction",

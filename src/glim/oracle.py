@@ -774,7 +774,7 @@ def graded_simple_decompose(a: FiniteGradedAlgebra) -> WedderburnInvariant:
     qgroup, alpha = quotient(a.group, sub)
     dims: Counter = Counter()
     for deg, block in mod.blocks.items():
-        dims[alpha(deg)] += block.dim
+        dims[alpha[deg]] += block.dim
     assert all(c % sub.order == 0 for c in dims.values()), "coset dimension off |T|"
     counts = {q: c // sub.order for q, c in dims.items()}
     assert a.dim == sum(counts.values()) ** 2 * sub.order, "dimension check failed"
@@ -804,7 +804,7 @@ def expected_tensor_invariant(
     qgroup, alpha = quotient(d1.group, e_class.support)
     counts: Counter = Counter()
     for g, c in y.coeffs:
-        counts[alpha(g)] += int(c)
+        counts[alpha[g]] += int(c)
     return WedderburnInvariant(
         support=e_class.support,
         bichar=e_class.bichar,

@@ -3,10 +3,29 @@ from fractions import Fraction
 
 import pytest
 
-from glim.abelian import FinAbGroup, group_new, subgroup_from_generators
+from glim.abelian import FinAbGroup, Subgroup, group_new
 from glim.divalg import Bicharacter, DivisionClass
 from glim.groupring import GroupRingElem, subgroup_sum
 from glim.limits import LimitDescriptor
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, name)`` counts the calls of ``owner.name`` from
+    then on, in the one-item list it returns."""
+
+    def count(owner, name):
+        calls = [0]
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    return count
 
 
 @pytest.fixture
@@ -26,9 +45,7 @@ def trivial_group():
 
 @pytest.fixture
 def klein_full(klein):
-    return subgroup_from_generators(
-        klein, [klein.element((1, 0)), klein.element((0, 1))]
-    )
+    return Subgroup(klein, (klein.element((1, 0)), klein.element((0, 1))))
 
 
 @pytest.fixture

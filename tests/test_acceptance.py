@@ -4,7 +4,7 @@ pass/fail line and enforcing its runtime bound."""
 import random
 import time
 
-from glim.abelian import group_new, subgroup_from_generators
+from glim.abelian import Subgroup, group_new
 from glim.divalg import (
     Bicharacter,
     DivisionClass,
@@ -32,7 +32,7 @@ from conftest import const, random_descriptor, uhf
 
 def _klein():
     g = group_new([2, 2])
-    full = subgroup_from_generators(g, [g.element((1, 0)), g.element((0, 1))])
+    full = Subgroup(g, (g.element((1, 0)), g.element((0, 1))))
     pauli = DivisionClass(Bicharacter.from_exponents(full, [[0, 1], [1, 0]]))
     return g, full, pauli, subgroup_sum(full)
 

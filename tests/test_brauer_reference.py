@@ -22,7 +22,6 @@ from glim.abelian import (
     Subgroup,
     group_new,
     subgroup_basis,
-    subgroup_from_generators,
     subgroup_from_members,
 )
 from glim.cli import _ORACLE_CATALOG, main, serialize_division
@@ -90,7 +89,7 @@ def reference_mul(d: DivisionClass, dprime: DivisionClass):
     B = reference_lift(d) * reference_lift(dprime).inverse()
     t_e, beta_e = reference_unlift(B)
     e_class = DivisionClass(beta_e)
-    H = subgroup_from_generators(d.group, d.support.generators + dprime.support.generators)
+    H = Subgroup(d.group, d.support.generators + dprime.support.generators)
     assert t_e <= H
     inter = subgroup_from_members(d.group, d.support.elements & dprime.support.elements)
     m_sq = Fraction(inter.order * t_e.order, H.order)
@@ -165,34 +164,31 @@ def test_cli_brauer_mul_prints_the_reference_payload(factors, tmp_path, capsys):
         assert json.loads(capsys.readouterr().out) == want
 
 
-def _counting(monkeypatch, cls, name):
-    """Count the calls of ``cls.name`` from here on."""
-    calls = [0]
-    original = getattr(cls, name)
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(cls, name, counted)
-    return calls
-
-
-def test_subgroup_check_makes_a_linear_number_of_products(monkeypatch):
+def test_subgroup_check_makes_a_linear_number_of_products(count_calls):
     group = group_new([8, 8])
     members = frozenset(group.elements())
-    products = _counting(monkeypatch, GroupElem, "__mul__")
-    Subgroup(group, members)
+    products = count_calls(GroupElem, "__mul__")
+    subgroup_from_members(group, members)
     assert 0 < products[0] <= 3 * group.order
 
 
-def test_brauer_mul_neither_pairs_elements_nor_multiplies_group_ring_elements(monkeypatch):
+def test_brauer_mul_builds_the_pairing_rows_of_the_product_class_only(count_calls):
+    # the rows of a built class were computed once, by its nondegeneracy
+    # check, and both lifts read them again
+    classes = enumerate_division_classes(group_new([4, 4]))
+    d1, d2 = [c for c in classes if c.support.order == 16][:2]
+    rows = count_calls(vars(Bicharacter)["_rows"], "func")
+    brauer_mul(d1, d2)
+    assert rows == [1]
+
+
+def test_brauer_mul_neither_pairs_elements_nor_multiplies_group_ring_elements(count_calls):
     pairs = []
     for factors in [(2, 2, 2, 2), (4, 4)]:
         full = [c for c in enumerate_division_classes(group_new(factors)) if c.support.order == 16]
         pairs.append((full[0], full[-1]))
-    pairings = _counting(monkeypatch, Bicharacter, "exponent_of")
-    products = _counting(monkeypatch, GroupRingElem, "__mul__")
+    pairings = count_calls(Bicharacter, "exponent_of")
+    products = count_calls(GroupRingElem, "__mul__")
     for d1, d2 in pairs:
         brauer_mul(d1, d2)
     assert pairings == [0] and products == [0]

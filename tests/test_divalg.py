@@ -4,11 +4,11 @@ from math import gcd
 import pytest
 
 from glim.abelian import (
+    Subgroup,
     all_subgroups,
     group_new,
     perp_of_subgroup,
     subgroup_basis,
-    subgroup_from_generators,
 )
 from glim.divalg import (
     Bicharacter,
@@ -26,7 +26,7 @@ from glim.groupring import GroupRingElem, subgroup_sum
 
 def z44_class(u: int) -> DivisionClass:
     g = group_new([4, 4])
-    full = subgroup_from_generators(g, [g.element((1, 0)), g.element((0, 1))])
+    full = Subgroup(g, (g.element((1, 0)), g.element((0, 1))))
     return DivisionClass(Bicharacter.from_exponents(full, [[0, u], [-u, 0]]))
 
 
@@ -187,7 +187,7 @@ def test_bicharacter_from_generator_data_redundant_generators(klein):
 
 def test_non_integer_exponents_are_rejected():
     g = group_new([4, 4])
-    full = subgroup_from_generators(g, [g.element((1, 0)), g.element((0, 1))])
+    full = Subgroup(g, (g.element((1, 0)), g.element((0, 1))))
     gens = list(full.generators)
     for bad in ([[0, 1.5], [-1.5, 0]], [[0, "1"], [-1, 0]], [[0, True], [-1, 0]]):
         with pytest.raises(ValueError):

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from glim.abelian import (
     Character,
+    Subgroup,
     dual_and_orbits,
     group_new,
-    subgroup_from_generators,
 )
 from glim.cyclotomic import get_field
 from glim.groupring import (
@@ -66,10 +66,10 @@ def test_bar_is_an_involution_and_ring_map(klein):
 def test_subgroup_sum_examples(klein, klein_full, x_t):
     assert x_t.size() == 4
     assert subgroup_sum(
-        subgroup_from_generators(klein, [])
+        Subgroup(klein, ())
     ) == GroupRingElem.one(klein)
     z4 = group_new([4])
-    sub = subgroup_from_generators(z4, [z4.element((2,))])
+    sub = Subgroup(z4, (z4.element((2,)),))
     s = subgroup_sum(sub)
     assert s.coeff(z4.identity) == 1 and s.coeff(z4.element((2,))) == 1
 

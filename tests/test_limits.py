@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from glim.abelian import group_new, subgroup_from_generators
+from glim.abelian import Character, Subgroup, group_new
 from glim.cyclotomic import get_field
-from glim.divalg import DivisionClass
-from glim.groupring import GroupRingElem, ProjCoords, project, supp_orbits
+from glim.divalg import DivisionClass, enumerate_division_classes
+from glim.groupring import GroupRingElem, ProjCoords, project, subgroup_sum, supp_orbits
 from glim.limits import (
     LimitDescriptor,
     absorbs,
+    absorbs_k0,
     in_k_group,
     in_positive_cone,
     iso_elementary,
@@ -302,6 +303,20 @@ def test_absorbs_examples(klein, pauli, x_t):
 
     triv = DivisionClass.trivial(klein)
     assert absorbs(a, triv, 8).verdict == "yes"
+
+
+def test_absorbs_k0_pairs_only_the_support_with_the_orbits_of_s(count_calls):
+    # x0 = cycle = x_G leaves S the trivial orbit alone: |T|*|S| = 4
+    # character values decide T in S-perp, not one per element of G
+    g = group_new([4, 4])
+    x_g = subgroup_sum(Subgroup(g, (g.element((1, 0)), g.element((0, 1)))))
+    k0 = k0_realization(LimitDescriptor(g, x_g, (), (x_g,)))
+    assert len(k0.orbits) == 1
+    d_class = next(c for c in enumerate_division_classes(g) if c.support.order == 4)
+    absorbs_k0(k0, d_class)
+    values = count_calls(Character, "value_exponent")
+    assert absorbs_k0(k0, d_class).verdict == "yes"
+    assert values[0] <= 4
 
 
 def _with_rep(cert: dict, rep: list) -> dict:
@@ -607,7 +622,7 @@ def test_quotient_pushforward(klein, klein_full, x_t):
     k = k0_realization(pushed)
     assert k.order_unit.values[0].as_rational() == 2
 
-    triv_sub = subgroup_from_generators(klein, [])
+    triv_sub = Subgroup(klein, ())
     same = quotient_pushforward(a, triv_sub)
     assert same.group == klein and same.x0 == a.x0
 

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from glim.abelian import group_new, quotient, subgroup_from_generators
+from glim.abelian import Subgroup, group_new, quotient
 from glim.cyclotomic import get_field
 from glim.divalg import Bicharacter, DivisionClass, enumerate_division_classes
 from glim.groupring import GroupRingElem
@@ -48,7 +48,7 @@ def test_build_twisted_pauli(klein, pauli):
 
 def test_build_twisted_group_algebra_not_simple():
     z2 = group_new([2])
-    full = subgroup_from_generators(z2, [z2.element((1,))])
+    full = Subgroup(z2, (z2.element((1,)),))
     alg = build_twisted(Bicharacter.trivial(full))
     assert center_dimension(alg) == 2
     with pytest.raises(ValueError):
@@ -57,7 +57,7 @@ def test_build_twisted_group_algebra_not_simple():
 
 def test_build_twisted_z44_simple():
     g = group_new([4, 4])
-    full = subgroup_from_generators(g, [g.element((1, 0)), g.element((0, 1))])
+    full = Subgroup(g, (g.element((1, 0)), g.element((0, 1))))
     cls = DivisionClass(Bicharacter.from_exponents(full, [[0, 1], [-1, 0]]))
     alg = build_twisted(cls.bichar)
     assert alg.dim == 16
@@ -91,7 +91,7 @@ def test_build_matrix_over_division_classes(factors):
             inv = graded_simple_decompose(alg)
             assert inv.support == cls.support
             assert inv.bichar == cls.bichar
-            cosets = Counter([alpha(g.identity), alpha(gen)])
+            cosets = Counter([alpha[g.identity], alpha[gen]])
             assert inv.coset_multiset == normalize_coset_multiset(qgroup, cosets)
 
 
@@ -157,7 +157,7 @@ def test_graded_iso_finite_examples(klein, pauli, x_t):
 
 def test_opposite_preserves_support_flips_bicharacter():
     g = group_new([4, 4])
-    full = subgroup_from_generators(g, [g.element((1, 0)), g.element((0, 1))])
+    full = Subgroup(g, (g.element((1, 0)), g.element((0, 1))))
     cls = DivisionClass(Bicharacter.from_exponents(full, [[0, 1], [-1, 0]]))
     inv = graded_simple_decompose(opposite(build_twisted(cls.bichar)))
     assert inv.bichar == cls.bichar.inverse()
@@ -200,7 +200,7 @@ def test_mixed_pair_z44_matches_oracle():
 
 def _twisted_z42():
     g = group_new([4, 2])
-    full = subgroup_from_generators(g, [g.element((1, 0)), g.element((0, 1))])
+    full = Subgroup(g, (g.element((1, 0)), g.element((0, 1))))
     return build_twisted(Bicharacter.trivial(full))
 
 
