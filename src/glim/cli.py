@@ -40,6 +40,16 @@ from . import oracle as _oracle
 MAX_GROUP_ORDER = 64  # the documented scale: subgroups are enumerated in full
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than ``low``, else a usage error."""
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    parse.__name__ = "int"  # argparse names the type when the text is not an int
+    return parse
+
+
 class DescriptorError(ValueError):
     """A parse or validation error, annotated with the offending key path."""
 
@@ -360,9 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="human-readable output (default)")
 
     def common(p):
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET,
                        help="unrolled cycle periods to search (default 32)")
-        p.add_argument("--budget-primes", type=int, default=DEFAULT_PRIME_BUDGET,
+        p.add_argument("--budget-primes", type=_int_at_least(0), default=DEFAULT_PRIME_BUDGET,
                        help="largest prime scaling invariant to test (default 13)")
         p.add_argument("--check-certificate", action="store_true",
                        help="replay the certificate before reporting")
@@ -392,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_brauer)
 
     p = sub.add_parser("oracle-check", help="run the structure-constants cross-validation")
-    p.add_argument("--max-group-order", type=int, default=4)
+    p.add_argument("--max-group-order", type=_int_at_least(1), default=4)
     output(p)
     p.set_defaults(func=cmd_oracle_check)
 

@@ -78,9 +78,12 @@ class CyclotomicField:
         self.zero = CycNum(self, zeros, 1)
         self.one = CycNum(self, (1,) + zeros[1:], 1)
         self._zetas = tuple(CycNum(self, table[k], 1) for k in range(n))
+        # the units +-zeta^k by sign, and each one's (sign, k) by its numerators (den 1)
+        self._units = {1: self._zetas, -1: tuple(-z for z in self._zetas)}
+        self._unit_of = {u.num: (s, k) for s, us in self._units.items() for k, u in enumerate(us)}
 
     def element(self, coeffs) -> CycNum:
-        vec = [Fraction(c) for c in coeffs]
+        vec = [Fraction(_rational(c)) for c in coeffs]
         if len(vec) < self.degree:
             vec += [Fraction(0)] * (self.degree - len(vec))
         if len(vec) != self.degree:
@@ -89,7 +92,8 @@ class CyclotomicField:
         return _canonical(self, [c.numerator * (den // c.denominator) for c in vec], den)
 
     def scalar(self, value) -> CycNum:
-        return self.element([value])
+        value = _rational(value)
+        return CycNum(self, (value.numerator,) + self.zero.num[1:], value.denominator)
 
     def zeta(self, k: int = 1) -> CycNum:
         return self._zetas[k % self.n]
@@ -101,6 +105,13 @@ class CyclotomicField:
 @lru_cache(maxsize=None)
 def get_field(n: int) -> CyclotomicField:
     return CyclotomicField(n)
+
+
+def _rational(value):
+    """``value`` itself if it is an int (not a bool) or a Fraction."""
+    if type(value) is int or isinstance(value, Fraction):
+        return value
+    raise ValueError(f"field coefficients are int or Fraction, not {type(value).__name__}")
 
 
 def _canonical(field: CyclotomicField, num: list[int], den: int) -> CycNum:
@@ -137,21 +148,21 @@ class CycNum:
         """The rational coefficients of 1, zeta, ..., zeta^(degree-1)."""
         return tuple(Fraction(c, self.den) for c in self.num)
 
-    def _coerce(self, other) -> "CycNum | None":
+    def _coerce(self, other):
         if isinstance(other, CycNum):
             if other.field.n != self.field.n:
                 raise ValueError(
                     f"conductor mismatch: {self.field.n} vs {other.field.n}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):
             return self.field.scalar(other)
-        return None
+        return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if o is NotImplemented:
+            return o
         da, db = self.den, o.den
         if da == db:
             num = [a + b for a, b in zip(self.num, o.num)]
@@ -167,21 +178,28 @@ class CycNum:
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if o is NotImplemented:
+            return o
         return self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if o is NotImplemented:
+            return o
         return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if o is NotImplemented:
+            return o
         fld = self.field
+        # units, +-1 among them, multiply by adding exponents; no convolution
+        if self.den == 1 == o.den and self.num in fld._unit_of and o.num in fld._unit_of:
+            (s, k), (t, j) = fld._unit_of[self.num], fld._unit_of[o.num]
+            return fld._units[s * t][(k + j) % fld.n]
+        a, b = (o, self) if self.is_rational else (self, o)
+        if b.is_rational:  # a rational factor scales the numerators once
+            return _canonical(fld, [x * b.num[0] for x in a.num], a.den * b.den)
         d = fld.degree
         # integer convolution; then each power zeta^k, k >= degree, reduced
         prod = [0] * (2 * d - 1)
@@ -202,14 +220,14 @@ class CycNum:
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if o is NotImplemented:
+            return o
         return self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if o is NotImplemented:
+            return o
         return o * self.inverse()
 
     def __pow__(self, k: int) -> "CycNum":
@@ -226,8 +244,8 @@ class CycNum:
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if o is NotImplemented:
+            return o
         return self.num == o.num and self.den == o.den
 
     def __hash__(self) -> int:
@@ -257,9 +275,15 @@ class CycNum:
         return out
 
     def inverse(self) -> "CycNum":
-        """Field inverse: the other conjugates' product over the norm."""
+        """Field inverse: a rational or unit +-zeta^k directly, else conjugates over the norm."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
+        if self.is_rational:
+            c = self.num[0]
+            return CycNum(self.field, (self.den if c > 0 else -self.den,) + self.num[1:], abs(c))
+        if self.den == 1 and self.num in self.field._unit_of:
+            s, k = self.field._unit_of[self.num]
+            return self.field._units[s][-k % self.field.n]
         cofactor = self._cofactor()
         return cofactor * (1 / (self * cofactor).as_rational())
 

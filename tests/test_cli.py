@@ -240,6 +240,31 @@ def _outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["iso", "A", "B", "--budget", "-1"],
+    ["iso", "A", "B", "--budget-primes", "-1"],
+    ["absorbs", "A", "--division", "D", "--budget", "-5"],
+    ["brauer", "inv", "D", "--budget-primes", "-3"],
+    ["oracle-check", "--max-group-order", "0"],
+    ["oracle-check", "--max-group-order", "-3"],
+    ["iso", "A", "B", "--budget", "eight"],
+])
+def test_nonsensical_bounds_are_usage_errors(capsys, argv):
+    code, out, err = _outcome(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"argument {argv[-2]}: " in err
+
+
+def test_zero_and_benchmark_budgets_still_parse(files, capsys):
+    args = cli.build_parser().parse_args(
+        ["iso", "A", "B", "--budget", "8", "--budget-primes", "7"])
+    assert (args.budget, args.budget_primes) == (8, 7)
+    zero = ["--budget", "0", "--budget-primes", "0", "--json"]
+    code, out, _ = _outcome(capsys, ["iso", files["a"], files["a_prime"], *zero])
+    assert code in (0, 1, 3)
+    assert json.loads(out)["verdict"] in ("yes", "no", "unknown")
+
+
 def test_shared_parser_keeps_no_state_between_calls(files, capsys, monkeypatch):
     sequence = [
         ["iso", files["two"], files["three"], "--json", "--check-certificate"],

@@ -142,3 +142,23 @@ def test_support_multiset_absorption_equivalence():
         via_split = absorbs(d, cls, 6)
         if via_multiset.is_certified and via_split.is_certified:
             assert via_multiset.verdict == via_split.verdict
+
+
+def test_iso_verdict_never_flips_with_orientation():
+    # isomorphism is symmetric: iso(a, b) and iso(b, a) may differ only by an
+    # `unknown`, never yes one way and no the other.  Pairs that end `unknown`
+    # stay in the draw.  Groups and budgets are those of the decide-mixed corpus.
+    rng = random.Random(16)
+    pairs = []
+    for factors in ([2, 2], [4, 2], [2, 2, 2], [3, 3], [6, 2], [4, 4]):
+        g = group_new(factors)
+        for i in range(8):
+            a = random_descriptor(rng, g)
+            b = random_descriptor(rng, g) if i % 2 else tensor_elementary(a, random_label(rng, g))
+            pairs.append((a, b))
+    both_certified = 0
+    for a, b in pairs:
+        verdicts = {iso_elementary(a, b, 8, 7).verdict, iso_elementary(b, a, 8, 7).verdict}
+        assert verdicts != {"yes", "no"}, (a, b)
+        both_certified += "unknown" not in verdicts
+    assert len(pairs) == 48 and both_certified >= 24

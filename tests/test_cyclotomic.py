@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,3 +220,83 @@ def test_canonical_form_hash_and_coefficient_round_trip(data, n):
     scaled = (x * 3) / 3
     assert scaled == x and hash(scaled) == hash(x)
     assert hash(f.element([0] * f.degree)) == hash(f.zero)
+
+
+# ---------------------------------------------------------------------------
+# units +-zeta^k and rationals skip the convolution: they must still give the
+# canonical form of the general path
+
+
+@st.composite
+def units_and_rationals(draw, n):
+    f = get_field(n)
+    if draw(st.booleans()):
+        z = f.zeta(draw(st.integers(0, n - 1)))
+        return z if draw(st.booleans()) else -z
+    value = draw(st.sampled_from([0, 1, -1]) | st.fractions(max_value=0, max_denominator=6))
+    return f.scalar(value)
+
+
+def _assert_matches_reference(got, ref):
+    """``got`` has the canonical numerators, denominator and hash of the
+    Fraction coefficients ``ref``."""
+    den = lcm(*(c.denominator for c in ref))
+    assert got.num == tuple(c.numerator * (den // c.denominator) for c in ref)
+    assert got.den == den
+    assert hash(got) == hash(got.field.element(ref))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(REFERENCE_CONDUCTORS))
+def test_unit_and_rational_fast_paths_agree_with_fraction_reference(data, n):
+    f = get_field(n)
+    one = [Fraction(int(i == 0)) for i in range(f.degree)]
+    x = data.draw(units_and_rationals(n))
+    y = data.draw(units_and_rationals(n) | cyc_numbers(n))
+    for a, b in ((x, y), (y, x)):
+        ra, rb = list(a.coeffs), list(b.coeffs)
+        _assert_matches_reference(a * b, _ref_mul(ra, rb, n))
+        if not b.is_zero:
+            ref_inv = _ref_solve(_ref_matrix(rb, n), one)
+            _assert_matches_reference(b.inverse(), ref_inv)
+            _assert_matches_reference(a / b, _ref_mul(ra, ref_inv, n))
+            assert b * b.inverse() == f.one
+
+
+@pytest.mark.parametrize("n", REFERENCE_CONDUCTORS)
+def test_every_unit_product_and_inverse_through_the_table(n):
+    f = get_field(n)
+    one = [Fraction(int(i == 0)) for i in range(f.degree)]
+    units = [z for k in range(n) for z in (f.zeta(k), -f.zeta(k))]
+    for u in units:
+        ref_inv = _ref_solve(_ref_matrix(list(u.coeffs), n), one)
+        _assert_matches_reference(u.inverse(), ref_inv)
+        assert u * u.inverse() == f.one
+        for v in units:
+            _assert_matches_reference(u * v, _ref_mul(list(u.coeffs), list(v.coeffs), n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(REFERENCE_CONDUCTORS), st.integers(-9, 9) | small_rationals)
+def test_scalar_is_the_one_coefficient_element(n, value):
+    f = get_field(n)
+    s = f.scalar(value)
+    assert s == f.element([value]) and hash(s) == hash(f.element([value]))
+    assert (s.num, s.den) == (f.element([value]).num, f.element([value]).den)
+    x = f.zeta(1) + 2
+    _assert_matches_reference(x * value, [c * value for c in x.coeffs])
+    _assert_matches_reference(value * x, [c * value for c in x.coeffs])
+
+
+def test_floats_and_bools_stay_out_of_the_field():
+    f = get_field(4)
+    for bad in (0.1, 1.0, True, False, "1/2"):
+        with pytest.raises(ValueError):
+            f.element([bad, 0])
+        with pytest.raises(ValueError):
+            f.scalar(bad)
+    for bad in (True, 0.5):
+        for op in (lambda z: z * bad, lambda z: bad * z, lambda z: z + bad, lambda z: z / bad):
+            with pytest.raises(TypeError):
+                op(f.zeta(1))
+        assert f.one != bad
