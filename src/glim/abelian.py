@@ -198,7 +198,8 @@ def subgroup_from_members(group: FinAbGroup, members) -> Subgroup:
     return sub
 
 
-def _addition_table(group: FinAbGroup) -> list[list[int]]:
+@lru_cache(maxsize=None)
+def _addition_table(group: FinAbGroup) -> tuple[tuple[int, ...], ...]:
     """``add[a][b]`` is the index of the product of elements a and b, where an
     element's index is its position in ``group.elements()`` (mixed radix over
     the factors, the last one fastest)."""
@@ -209,7 +210,13 @@ def _addition_table(group: FinAbGroup) -> list[list[int]]:
             [add[a // d][b // d] * d + (a % d + b % d) % d for b in range(n)]
             for a in range(n)
         ]
-    return add
+    return tuple(map(tuple, add))
+
+
+@lru_cache(maxsize=None)
+def _element_index(group: FinAbGroup) -> dict[tuple[int, ...], int]:
+    """Each element's index in ``group.elements()`` by its reduced coordinates."""
+    return {g.coords: i for i, g in enumerate(group.elements())}
 
 
 @lru_cache(maxsize=None)

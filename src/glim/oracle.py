@@ -16,11 +16,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .abelian import (
     FinAbGroup,
     GroupElem,
     Subgroup,
+    _addition_table,
+    _element_index,
     quotient,
     subgroup_basis,
     subgroup_from_members,
@@ -171,6 +174,10 @@ class FiniteGradedAlgebra:
     to zero.  Indices, exponents and grading compatibility are checked on
     construction; up to dimension 64 associativity is also checked exactly on
     all basis triples.
+
+    Internally a degree is its index in ``group.elements()`` (``deg_index``;
+    a degree of another group is an error), combined through the group's
+    addition table, and products read the constants by row, ``j -> (k, e)``.
     """
 
     def __init__(
@@ -191,18 +198,23 @@ class FiniteGradedAlgebra:
         if generators is None:
             generators = tuple({i: self.field.one} for i in range(self.dim))
         self.generators = tuple(dict(g) for g in generators)
-        m = len(self.roots)
-        # the degree rule on indices of the distinct degrees: one group
-        # product per pair of degrees, not per cell
-        index: dict[GroupElem, int] = {}
-        deg = [index.setdefault(g, len(index)) for g in degrees]
-        kinds = list(index)
-        rule = [[index.get(a * b, -1) for b in kinds] for a in kinds]
-        for (i, j), (k, e) in table.items():
-            if not (0 <= k < self.dim and 0 <= e < m):
+        self._mono_inv: dict[int, bool] = {}
+        # a degree of another group, or with unreduced coordinates, has no index
+        index = _element_index(group)
+        deg = [index.get(d.coords) if d.group == group else None for d in degrees]
+        if None in deg:
+            raise ValueError("a degree is not an element of the grading group")
+        self.deg_index = tuple(deg)
+        self.addition = add = _addition_table(group)
+        m, dim = len(self.roots), self.dim
+        self._rows = rows = [{} for _ in range(dim)]
+        for (i, j), cell in table.items():
+            k, e = cell
+            if not (0 <= k < dim and 0 <= e < m):
                 raise ValueError("structure-constant cell out of range")
-            if deg[k] != rule[deg[i]][deg[j]]:
+            if add[deg[i]][deg[j]] != deg[k]:
                 raise ValueError("structure constants violate the grading")
+            rows[i][j] = cell
         for i in range(self.dim):
             e_i = {i: self.field.one}
             if self.mul(self.unit, e_i) != e_i or self.mul(e_i, self.unit) != e_i:
@@ -255,42 +267,41 @@ class FiniteGradedAlgebra:
     def mul(self, u: Vec, v: Vec) -> Vec:
         out: Vec = {}
         for i, a in u.items():
+            row = self._rows[i]
             for j, b in v.items():
-                cell = self.table.get((i, j))
+                cell = row.get(j)
                 if cell:
                     self._add_term(out, *cell, a * b)
         return out
 
     def mul_basis(self, i: int, v: Vec) -> Vec:
         out: Vec = {}
+        row = self._rows[i]
         for j, b in v.items():
-            cell = self.table.get((i, j))
+            cell = row.get(j)
             if cell:
                 self._add_term(out, *cell, b)
         return out
 
-    def vec_degree(self, v: Vec) -> GroupElem | None:
-        """The common degree of a homogeneous vector (None for 0)."""
+    def vec_degree(self, v: Vec) -> int | None:
+        """The degree index of a homogeneous vector (None for 0)."""
         deg = None
         for k in v:
             if deg is None:
-                deg = self.degrees[k]
-            elif self.degrees[k] != deg:
+                deg = self.deg_index[k]
+            elif self.deg_index[k] != deg:
                 raise ValueError("vector is not homogeneous")
         return deg
 
     def monomial_invertible(self, i: int) -> bool:
         """Exact invertibility of a basis element."""
-        cached = getattr(self, "_mono_inv", None)
-        if cached is None:
-            cached = {}
-            self._mono_inv = cached
+        cached = self._mono_inv
         if i in cached:
             return cached[i]
         ok = True
         seen = set()
-        for j in range(self.dim):
-            cell = self.table.get((j, i))
+        for row in self._rows:
+            cell = row.get(i)
             if not cell:
                 ok = False
                 break
@@ -305,10 +316,12 @@ class FiniteGradedAlgebra:
     def basis_vec(self, i: int) -> Vec:
         return {i: self.field.one}
 
-    def component_indices(self) -> dict[GroupElem, list[int]]:
-        out: dict[GroupElem, list[int]] = {}
-        for i, d in enumerate(self.degrees):
-            out.setdefault(d, []).append(i)
+    @cached_property
+    def component_indices(self) -> dict[int, list[int]]:
+        """Basis indices by degree index, degrees in ascending index order."""
+        out: dict[int, list[int]] = {}
+        for i in sorted(range(self.dim), key=self.deg_index.__getitem__):
+            out.setdefault(self.deg_index[i], []).append(i)
         return out
 
     def __repr__(self) -> str:
@@ -334,18 +347,23 @@ def build_twisted(bichar: Bicharacter) -> FiniteGradedAlgebra:
     # the field's roots of unity are the 2n-th ones, so zeta_n = r^2
     gens, orders, coords = subgroup_basis(sub)
     elems = sub.sorted_elements()
-    index = {g: i for i, g in enumerate(elems)}
+    if len(elems) > DIM_CAP:
+        raise ValueError("dimension cap exceeded")
+    # each subgroup element's basis position, keyed by its index in G (the
+    # identity's is 0)
+    index = _element_index(G)
+    pos = {index[g.coords]: p for p, g in enumerate(elems)}
+    add = _addition_table(G)
+    words = [coords[g] for g in elems]
     r = len(gens)
     lower = [row[:i] + (0,) * (r - i) for i, row in enumerate(bichar.matrix)]
     table: dict = {}
-    for s in elems:
-        for t in elems:
-            exp = _form(lower, coords[s], coords[t], n)
-            table[(index[s], index[t])] = (index[s * t], 2 * exp)
-    unit = {index[G.identity]: fld.one}
-    gen_vecs = tuple({index[g]: fld.one} for g in gens) or (dict(unit),)
-    if len(elems) > DIM_CAP:
-        raise ValueError("dimension cap exceeded")
+    for s, p in pos.items():
+        for t, q in pos.items():
+            exp = _form(lower, words[p], words[q], n)
+            table[(p, q)] = (pos[add[s][t]], 2 * exp)
+    unit = {pos[0]: fld.one}
+    gen_vecs = tuple({pos[index[g.coords]]: fld.one} for g in gens) or (dict(unit),)
     return FiniteGradedAlgebra(G, tuple(elems), table, unit, generators=gen_vecs)
 
 
@@ -399,7 +417,8 @@ def tensor(a: FiniteGradedAlgebra, b: FiniteGradedAlgebra) -> FiniteGradedAlgebr
         raise ValueError("dimension cap exceeded")
     bd = b.dim
     m = len(a.roots)
-    degrees = tuple(da * db for da in a.degrees for db in b.degrees)
+    elems, add = a.group.elements(), a.addition
+    degrees = tuple(elems[add[x][y]] for x in a.deg_index for y in b.deg_index)
     table = {
         (i1 * bd + i2, j1 * bd + j2): (k1 * bd + k2, (e1 + e2) % m)
         for (i1, j1), (k1, e1) in a.table.items()
@@ -459,18 +478,18 @@ class _Module:
         self.alg = alg
         self.h = dict(h)
         self.h_deg = alg.vec_degree(h)
-        self.blocks: dict[GroupElem, _Echelon] = {}
-        order = sorted(range(alg.dim), key=lambda i: alg.degrees[i].coords)
-        for i in order:
-            w = alg.mul_basis(i, h)
-            if not w:
-                continue
-            deg = alg.degrees[i] * self.h_deg
-            self.blocks.setdefault(deg, _Echelon()).add(w)
+        # blocks by degree index, filled in coordinate order of the degrees
+        self.blocks: dict[int, _Echelon] = {}
+        for d, indices in alg.component_indices.items():
+            deg = alg.addition[d][self.h_deg]
+            for i in indices:
+                w = alg.mul_basis(i, h)
+                if w:
+                    self.blocks.setdefault(deg, _Echelon()).add(w)
         self.dim = sum(e.dim for e in self.blocks.values())
 
     def homogeneous_basis(self):
-        for deg in sorted(self.blocks, key=lambda d: d.coords):
+        for deg in sorted(self.blocks):
             for row in self.blocks[deg].rows:
                 yield deg, row
 
@@ -489,19 +508,18 @@ class _Endo:
         h = mod.h
         # homogeneous annihilator basis, per degree block of A; each block's
         # tracked echelon also yields preimages under a -> a*h
-        comps = alg.component_indices()
         self.ann: list[Vec] = []
-        self._preimage_data: dict[GroupElem, _Echelon] = {}
-        for deg in sorted(comps, key=lambda d: d.coords):
+        self._preimage_data: dict[int, _Echelon] = {}
+        for deg, indices in alg.component_indices.items():
             ech = _Echelon(alg.field)
-            for i in comps[deg]:
+            for i in indices:
                 relation = ech.add(alg.mul_basis(i, h), i)
                 if relation is not None:
                     self.ann.append(relation)
-            self._preimage_data[deg * mod.h_deg] = ech
-        # W per degree of V: the combinations of V's basis killed by ann
-        self.w_blocks: dict[GroupElem, list[Vec]] = {}
-        for deg in sorted(mod.blocks, key=lambda d: d.coords):
+            self._preimage_data[alg.addition[deg][mod.h_deg]] = ech
+        # W per degree index of V: the combinations of V's basis killed by ann
+        self.w_blocks: dict[int, list[Vec]] = {}
+        for deg in sorted(mod.blocks):
             vecs = mod.blocks[deg].rows
             ech = _Echelon(alg.field)
             ws = []
@@ -519,14 +537,15 @@ class _Endo:
             if ws:
                 self.w_blocks[deg] = ws
         self.identity = dict(h)
+        self._h_inverse = alg.addition[mod.h_deg].index(0)
 
-    def endo_degree(self, w_deg: GroupElem) -> GroupElem:
-        return w_deg * self.mod.h_deg.inverse()
+    def endo_degree(self, w_deg: int) -> int:
+        """The degree index of the endomorphism whose value at h has w_deg."""
+        return self.alg.addition[w_deg][self._h_inverse]
 
     def support(self) -> list[GroupElem]:
-        return sorted(
-            (self.endo_degree(d) for d in self.w_blocks), key=lambda g: g.coords
-        )
+        elems = self.alg.group.elements()
+        return [elems[d] for d in sorted(map(self.endo_degree, self.w_blocks))]
 
     def preimage(self, w: Vec) -> Vec:
         """Some algebra element a with a*h = w (w must lie in A*h)."""
@@ -628,7 +647,8 @@ def _poly_deflate(coeffs: list[CycNum], root: CycNum) -> list[CycNum]:
     for i in range(len(coeffs) - 2, -1, -1):
         out[i] = carry
         carry = coeffs[i] + carry * root
-    assert carry.is_zero, "deflation by a non-root"
+    if not carry.is_zero:
+        raise RuntimeError("deflation by a non-root")
     return list(out)
 
 
@@ -638,7 +658,7 @@ def _zero_divisor_candidates(endo: _Endo):
     for w in endo.w_blocks.get(ident_deg, []):
         if endo._scalar_of(w) is None:
             yield w
-    for deg in sorted(endo.w_blocks, key=lambda d: d.coords):
+    for deg in sorted(endo.w_blocks):
         vecs = endo.w_blocks[deg]
         if deg == ident_deg or len(vecs) < 2:
             continue
@@ -695,7 +715,7 @@ def minimal_graded_left_ideal(
             continue
         endo = _Endo(a, mod)
         noninv = None
-        for deg in sorted(endo.w_blocks, key=lambda d: d.coords):
+        for deg in sorted(endo.w_blocks):
             for w in endo.w_blocks[deg]:
                 if not endo.is_invertible(w):
                     noninv = w
@@ -748,8 +768,9 @@ def graded_simple_decompose(a: FiniteGradedAlgebra) -> WedderburnInvariant:
     mod, endo = minimal_graded_left_ideal(a)
     sub = subgroup_from_members(a.group, endo.support())
     gens, orders, _ = subgroup_basis(sub)
+    elems = a.group.elements()
     by_endo_degree = {
-        endo.endo_degree(d): vs[0] for d, vs in endo.w_blocks.items()
+        elems[endo.endo_degree(d)]: vs[0] for d, vs in endo.w_blocks.items()
     }
     n = a.group.exponent
     fld = a.field
@@ -762,7 +783,8 @@ def graded_simple_decompose(a: FiniteGradedAlgebra) -> WedderburnInvariant:
             p2 = endo.product(by_endo_degree[gj], by_endo_degree[gi])
             key = min(p2.keys())
             lam = p1[key] / p2[key]
-            assert _vec_scale(p2, lam) == p1, "commutation ratio is not scalar"
+            if _vec_scale(p2, lam) != p1:
+                raise RuntimeError("commutation ratio is not scalar")
             # the commutation value of an honest graded algebra lies in mu_n
             exp = next(k for k in range(n) if fld.zeta(k * scale) == lam)
             row.append(exp)
@@ -774,10 +796,12 @@ def graded_simple_decompose(a: FiniteGradedAlgebra) -> WedderburnInvariant:
     qgroup, alpha = quotient(a.group, sub)
     dims: Counter = Counter()
     for deg, block in mod.blocks.items():
-        dims[alpha[deg]] += block.dim
-    assert all(c % sub.order == 0 for c in dims.values()), "coset dimension off |T|"
+        dims[alpha[elems[deg]]] += block.dim
+    if any(c % sub.order for c in dims.values()):
+        raise RuntimeError("coset dimension off |T|")
     counts = {q: c // sub.order for q, c in dims.items()}
-    assert a.dim == sum(counts.values()) ** 2 * sub.order, "dimension check failed"
+    if a.dim != sum(counts.values()) ** 2 * sub.order:
+        raise RuntimeError("dimension check failed")
     multiset = normalize_coset_multiset(qgroup, counts)
     return WedderburnInvariant(
         support=sub,

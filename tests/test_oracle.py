@@ -3,13 +3,17 @@ from collections import Counter
 
 import pytest
 
-from glim.abelian import Subgroup, group_new, quotient
+from glim.abelian import FinAbGroup, GroupElem, Subgroup, _element_index, group_new, quotient
+from glim.cli import _ORACLE_CATALOG
 from glim.cyclotomic import get_field
 from glim.divalg import Bicharacter, DivisionClass, enumerate_division_classes
 from glim.groupring import GroupRingElem
 from glim.oracle import (
     FiniteGradedAlgebra,
     _Echelon,
+    _Endo,
+    _Module,
+    _poly_deflate,
     _vec_combine,
     build_matrix,
     build_twisted,
@@ -307,3 +311,108 @@ def test_tracked_echelon_relations_and_expressions():
         assert _vec_combine(ech.express(target), vecs) == target
     with pytest.raises(ValueError):
         ech.express({5: one})
+
+
+def test_deflation_by_a_non_root_raises():
+    fld = get_field(4)
+    one, two = fld.one, fld.scalar(2)
+    x2_minus_1 = [-one, fld.zero, one]
+    assert _poly_deflate(x2_minus_1, one) == [one, one]  # x + 1
+    with pytest.raises(RuntimeError, match="deflation by a non-root"):
+        _poly_deflate(x2_minus_1, two)
+
+
+# ---------------------------------------------------------------------------
+# degrees as element indices, structure constants by rows
+
+
+def test_degrees_from_another_group_are_rejected(klein):
+    one = get_field(4).one
+    z4 = group_new([4])
+    with pytest.raises(ValueError, match="not an element of the grading group"):
+        FiniteGradedAlgebra(klein, (z4.identity,), {(0, 0): (0, 0)}, {0: one})
+    alg = build_twisted(Bicharacter.trivial(Subgroup(klein, (klein.element((1, 0)),))))
+    assert alg.degrees == (klein.identity, klein.element((1, 0)))
+    # a foreign degree whose coordinates are also those of an element of
+    # klein, and an element of klein with unreduced coordinates
+    for foreign in (group_new([2, 4]).element((1, 0)), GroupElem(klein, (3, 0))):
+        with pytest.raises(ValueError, match="not an element of the grading group"):
+            FiniteGradedAlgebra(klein, (klein.identity, foreign), alg.table, alg.unit)
+
+
+@pytest.mark.parametrize("factors", _ORACLE_CATALOG + [(2, 2, 2, 2)])
+def test_element_index_is_coordinate_order(factors):
+    g = FinAbGroup(factors)
+    elems = g.elements()
+    assert [e.coords for e in elems] == sorted(e.coords for e in elems)
+    assert _element_index(g) == {e.coords: i for i, e in enumerate(elems)}
+
+
+def _sample_algebras():
+    """Algebras from each construction, over three groups."""
+    klein, z44, z42 = group_new([2, 2]), group_new([4, 4]), group_new([4, 2])
+    k_classes = enumerate_division_classes(klein)
+    big = next(c for c in enumerate_division_classes(z44) if c.support.order == 16)
+    pauli = k_classes[-1]
+    x = GroupRingElem.from_dict(z42, {z42.identity: 1, z42.element((1, 1)): 2})
+    twisted = build_twisted(big.bichar)
+    cyclic = Subgroup(z42, (z42.element((2, 1)),))
+    return [
+        twisted,
+        opposite(twisted),
+        build_matrix(x),
+        build_matrix(GroupRingElem.from_dict(klein, {klein.element((0, 1)): 2}), pauli),
+        tensor(build_twisted(pauli.bichar), opposite(build_twisted(k_classes[1].bichar))),
+        tensor(build_matrix(x), build_twisted(Bicharacter.trivial(cyclic))),
+    ]
+
+
+def _reference_mul(alg, u, v):
+    """u * v read cell by cell off the public ``table``."""
+    out = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            if (i, j) in alg.table:
+                k, e = alg.table[(i, j)]
+                out[k] = out.get(k, alg.field.zero) + a * b * alg.roots[e]
+    return {k: c for k, c in out.items() if not c.is_zero}
+
+
+def test_degree_indices_and_row_products_agree_with_the_table():
+    rng = random.Random(17)
+    for alg in _sample_algebras():
+        elems = alg.group.elements()
+        assert len(alg.deg_index) == alg.dim
+        assert all(elems[d] == g for d, g in zip(alg.deg_index, alg.degrees))
+        by_index = [i for idxs in alg.component_indices.values() for i in idxs]
+        assert by_index == sorted(range(alg.dim), key=lambda i: alg.degrees[i].coords)
+        fld = alg.field
+
+        def draw():
+            support = rng.sample(range(alg.dim), rng.randint(1, min(4, alg.dim)))
+            return {i: fld.zeta(rng.randrange(fld.n)) * rng.choice([1, -2, 3])
+                    for i in support}
+
+        for _ in range(20):
+            u, v = draw(), draw()
+            assert alg.mul(u, v) == _reference_mul(alg, u, v)
+            i = rng.randrange(alg.dim)
+            assert alg.mul_basis(i, v) == _reference_mul(alg, {i: fld.one}, v)
+
+
+def test_module_blocks_and_endo_support_agree_with_group_elements():
+    rng = random.Random(29)
+    for alg in _sample_algebras():
+        elems = alg.group.elements()
+        one = alg.field.one
+        for h in [alg.unit] + [{i: one} for i in rng.sample(range(alg.dim), 3)]:
+            mod = _Module(alg, h)
+            h_deg = alg.degrees[min(h)]
+            want = {alg.degrees[i] * h_deg
+                    for i in range(alg.dim) if _reference_mul(alg, {i: one}, h)}
+            assert {elems[d] for d in mod.blocks} == want
+            for d, block in mod.blocks.items():
+                assert all(alg.degrees[k] == elems[d] for row in block.rows for k in row)
+            endo = _Endo(alg, mod)
+            support = [elems[d] * h_deg.inverse() for d in endo.w_blocks]
+            assert endo.support() == sorted(support, key=lambda g: g.coords)
