@@ -57,10 +57,7 @@ class FinAbGroup:
         return GroupElem(self, tuple(x % d for x, d in zip(coords, self.factors)))
 
     def elements(self) -> list["GroupElem"]:
-        return [
-            GroupElem(self, c)
-            for c in itertools.product(*(range(d) for d in self.factors))
-        ]
+        return [GroupElem(self, c) for c in itertools.product(*map(range, self.factors))]
 
     def __repr__(self) -> str:
         return "Z" + "x".join(f"{d}" for d in self.factors)
@@ -398,6 +395,9 @@ class CharOrbit:
 
     def sort_key(self):
         return (0 if self.is_trivial else 1, self.representative.exponents)
+
+    def __hash__(self) -> int:  # one tuple hash; equality compares all fields
+        return hash(self.representative.exponents)
 
     def __repr__(self) -> str:
         return f"Orbit({self.representative}, size {self.field_degree})"

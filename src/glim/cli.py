@@ -10,9 +10,8 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
-from .abelian import FinAbGroup, subgroup_basis
+from .abelian import FinAbGroup, _element_index, subgroup_basis
 from .divalg import DivisionClass, bicharacter_from_generator_data, brauer_mul, op_class
 from .groupring import GroupRingElem
 from .limits import (
@@ -72,7 +71,8 @@ def _ints(payload, n: int, path: str) -> tuple[int, ...]:
 def _parse_label(group: FinAbGroup, payload, path: str) -> GroupRingElem:
     if not isinstance(payload, list) or not payload:
         raise DescriptorError(path, "label must be a nonempty list of terms")
-    data = {}
+    index = _element_index(group)
+    terms = []
     for i, term in enumerate(payload):
         tpath = f"{path}[{i}]"
         if not isinstance(term, dict) or "elem" not in term or "mult" not in term:
@@ -81,11 +81,9 @@ def _parse_label(group: FinAbGroup, payload, path: str) -> GroupRingElem:
         mult = term["mult"]
         if type(mult) is not int or mult <= 0:
             raise DescriptorError(f"{tpath}.mult", "multiplicity must be a positive integer")
-        data[g] = data.get(g, 0) + mult
-    z = GroupRingElem.from_dict(group, {g: Fraction(m) for g, m in data.items()})
-    if z.is_zero:
-        raise DescriptorError(path, "label must be nonzero")
-    return z
+        terms.append((index[g.coords], mult))
+    # nonzero: at least one term, every multiplicity positive
+    return GroupRingElem.from_terms(group, terms)
 
 
 def _parse_group(payload, path: str) -> FinAbGroup:

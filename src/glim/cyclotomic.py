@@ -111,7 +111,7 @@ def _rational(value):
     """``value`` itself if it is an int (not a bool) or a Fraction."""
     if type(value) is int or isinstance(value, Fraction):
         return value
-    raise ValueError(f"field coefficients are int or Fraction, not {type(value).__name__}")
+    raise ValueError(f"coefficients are int or Fraction, not {type(value).__name__}")
 
 
 def _canonical(field: CyclotomicField, num: list[int], den: int) -> CycNum:

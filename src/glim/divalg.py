@@ -25,6 +25,7 @@ from .abelian import (
     FinAbGroup,
     GroupElem,
     Subgroup,
+    _element_index,
     all_subgroups,
     subgroup_basis,
     subgroup_from_members,
@@ -335,7 +336,8 @@ def brauer_mul(
     ybar = {tuple((-a) % f for a, f in zip(r, G.factors)): mult for r in reps}
     if _convolve(G.factors, covered, ybar) != rhs:
         raise RuntimeError("dimension identity failed for the computed multiset")
-    y = GroupRingElem.from_dict(G, {GroupElem(G, r): Fraction(mult) for r in reps})
+    index = _element_index(G)
+    y = GroupRingElem.from_terms(G, ((index[r], mult) for r in reps))
     return e_class, y, H
 
 

@@ -2,7 +2,8 @@
 feasibility kernels (lattice membership in the integral image, cone membership
 in the nonnegative image).
 
-An element is a finitely supported map from group elements to rationals.  The
+An element is a vector of integer numerators, one per group element in
+coordinate order, over one common denominator, as a cyclotomic number is.  The
 projection onto a set S of character orbits is stored as one cyclotomic
 coordinate per orbit (the value at the orbit representative), which determines
 the component because the component rings are fields permuted by the Galois
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .abelian import (
     CharOrbit,
@@ -22,169 +23,207 @@ from .abelian import (
     FinAbGroup,
     GroupElem,
     Subgroup,
+    _addition_table,
+    _element_index,
     dual_and_orbits,
 )
-from .cyclotomic import CycNum, _canonical, get_field
+from .cyclotomic import CycNum, _canonical, _rational, get_field
 from .exactsolve import integer_solve, nonneg_integer_solve
 
 
-@dataclass(frozen=True)
-class GroupRingElem:
-    """An element of QG as a coefficient map; flags are derived, not stored."""
+def _reduced(group: FinAbGroup, num, den: int) -> "GroupRingElem":
+    """num/den (den > 0) in lowest terms; zero gets den 1, as gcd(den, 0, ...) is den."""
+    if den != 1 and (g := gcd(den, *num)) != 1:
+        num, den = [c // g for c in num], den // g
+    return GroupRingElem(group, tuple(num), den)
 
-    group: FinAbGroup
-    coeffs: tuple[tuple[GroupElem, Fraction], ...]  # sorted by coords, no zeros
+
+@lru_cache(maxsize=None)
+def _inverses(group: FinAbGroup) -> tuple[int, ...]:
+    """The index of each element's inverse: the permutation behind ``bar``."""
+    return tuple(row.index(0) for row in _addition_table(group))
+
+
+class GroupRingElem:
+    """An element of QG: ``num[i] / den`` is the coefficient of the i-th element
+    in ``group.elements()`` (coordinate) order, den positive and in lowest
+    terms (1 for zero), so equality is of integers.  ``from_dict``/``coeffs``
+    convert from/to ``(GroupElem, Fraction)`` pairs; the constructor takes
+    the canonical form as given.  Coefficients and scalars are int or
+    Fraction, never a bool or a float."""
+
+    __slots__ = ("group", "num", "den")
+
+    def __init__(self, group: FinAbGroup, num: tuple[int, ...], den: int = 1):
+        self.group = group
+        self.num = num
+        self.den = den
 
     @staticmethod
     def from_dict(group: FinAbGroup, data: dict[GroupElem, Fraction | int]) -> "GroupRingElem":
-        items = []
-        for g, c in data.items():
-            if g.group != group:
-                raise ValueError("coefficient key lies in a different group")
-            c = Fraction(c)
-            if c:
-                items.append((g, c))
-        items.sort(key=lambda it: it[0].coords)
-        return GroupRingElem(group, tuple(items))
+        if any(g.group != group for g in data):
+            raise ValueError("coefficient key lies in a different group")
+        index = _element_index(group)
+        terms = [(index[g.coords], _rational(c)) for g, c in data.items()]
+        den = lcm(*(c.denominator for _, c in terms))
+        return GroupRingElem.from_terms(
+            group, [(i, c.numerator * (den // c.denominator)) for i, c in terms], den
+        )
+
+    @staticmethod
+    def from_terms(group: FinAbGroup, terms, den: int = 1) -> "GroupRingElem":
+        """The sum of the (element index, integer numerator) pairs over den."""
+        num = [0] * group.order
+        for i, c in terms:
+            num[i] += c
+        return _reduced(group, num, den)
 
     @staticmethod
     def zero(group: FinAbGroup) -> "GroupRingElem":
-        return GroupRingElem(group, ())
+        return GroupRingElem(group, (0,) * group.order)
 
     @staticmethod
     def one(group: FinAbGroup) -> "GroupRingElem":
-        return GroupRingElem.from_dict(group, {group.identity: 1})
+        return GroupRingElem(group, (1,) + (0,) * (group.order - 1))
 
     @staticmethod
     def constant(group: FinAbGroup, value) -> "GroupRingElem":
-        return GroupRingElem.from_dict(group, {group.identity: Fraction(value)})
+        return GroupRingElem.one(group).scale(value)
+
+    @property
+    def coeffs(self) -> tuple[tuple[GroupElem, Fraction], ...]:
+        """The nonzero coefficients with their elements, in coordinate order."""
+        elems = self.group.elements()
+        return tuple((elems[i], Fraction(c, self.den)) for i, c in enumerate(self.num) if c)
 
     def as_dict(self) -> dict[GroupElem, Fraction]:
         return dict(self.coeffs)
 
     def coeff(self, g: GroupElem) -> Fraction:
-        for h, c in self.coeffs:
-            if h == g:
-                return c
-        return Fraction(0)
+        return Fraction(self.num[_element_index(self.group)[g.coords]], self.den)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.num)
 
     @property
     def is_integer(self) -> bool:
-        return all(c.denominator == 1 for _, c in self.coeffs)
+        return self.den == 1
 
     @property
     def is_nonneg_integer(self) -> bool:
-        return all(c.denominator == 1 and c >= 0 for _, c in self.coeffs)
+        return self.den == 1 and min(self.num) >= 0
 
     def size(self) -> Fraction:
-        return sum((c for _, c in self.coeffs), Fraction(0))
+        return Fraction(sum(self.num), self.den)
 
     def _check(self, other: "GroupRingElem"):
         if self.group != other.group:
             raise ValueError("group ring elements over different groups")
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GroupRingElem):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den and self.group == other.group
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.num, self.den))
+
     def __add__(self, other: "GroupRingElem") -> "GroupRingElem":
         self._check(other)
-        data = self.as_dict()
-        for g, c in other.coeffs:
-            data[g] = data.get(g, Fraction(0)) + c
-        return GroupRingElem.from_dict(self.group, data)
+        da, db = self.den, other.den
+        return _reduced(self.group, [a * db + b * da for a, b in zip(self.num, other.num)], da * db)
 
     def __sub__(self, other: "GroupRingElem") -> "GroupRingElem":
         return self + other.scale(-1)
 
     def __mul__(self, other) -> "GroupRingElem":
-        if isinstance(other, (int, Fraction)):
+        """The convolution over the nonzero entries, through the addition table."""
+        if not isinstance(other, GroupRingElem):
             return self.scale(other)
         self._check(other)
-        data: dict[GroupElem, Fraction] = {}
-        for g, a in self.coeffs:
-            for h, b in other.coeffs:
-                gh = g * h
-                data[gh] = data.get(gh, Fraction(0)) + a * b
-        return GroupRingElem.from_dict(self.group, data)
+        terms = [(j, b) for j, b in enumerate(other.num) if b]
+        out = [0] * len(self.num)
+        for a, row in zip(self.num, _addition_table(self.group)):
+            if a:
+                for j, b in terms:
+                    out[row[j]] += a * b
+        return _reduced(self.group, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "GroupRingElem":
         if k < 0:
             raise ValueError("negative powers are not defined in the semiring")
-        result = GroupRingElem.one(self.group)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return prod([self] * k, start=GroupRingElem.one(self.group))
 
     def scale(self, value) -> "GroupRingElem":
-        value = Fraction(value)
-        return GroupRingElem.from_dict(
-            self.group, {g: c * value for g, c in self.coeffs}
-        )
+        v = _rational(value)
+        return _reduced(self.group, [c * v.numerator for c in self.num], self.den * v.denominator)
 
     def bar(self) -> "GroupRingElem":
         """Transport coefficients to inverse group elements (an involution)."""
-        return GroupRingElem.from_dict(
-            self.group, {g.inverse(): c for g, c in self.coeffs}
-        )
+        inv = _inverses(self.group)
+        return GroupRingElem(self.group, tuple(map(self.num.__getitem__, inv)), self.den)
 
     def translate(self, h: GroupElem) -> "GroupRingElem":
-        return GroupRingElem.from_dict(self.group, {g * h: c for g, c in self.coeffs})
+        """The product with h: the coefficient at g*h is that of g here."""
+        G = self.group
+        if h.group != G:
+            raise ValueError("translation by an element of a different group")
+        row = _addition_table(G)[_inverses(G)[_element_index(G)[h.coords]]]
+        return GroupRingElem(G, tuple(map(self.num.__getitem__, row)), self.den)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            (f"{c}*{g}" if c != 1 else str(g)) for g, c in self.coeffs
-        )
+        return " + ".join((f"{c}*{g}" if c != 1 else str(g)) for g, c in self.coeffs) or "0"
 
 
 def subgroup_sum(sub: Subgroup) -> GroupRingElem:
     """The characteristic multiset of a subgroup (sum of its elements)."""
-    return GroupRingElem.from_dict(sub.parent, {g: Fraction(1) for g in sub.elements})
+    index = _element_index(sub.parent)
+    return GroupRingElem.from_terms(sub.parent, ((index[g.coords], 1) for g in sub.elements))
 
 
-def character_rows(chi: Character) -> tuple[tuple[int, ...], ...]:
-    """chi(g) for every g in ``group.elements()`` order, one row per
-    power-basis coordinate: the numerators of zeta^{chi(g)}, which are
-    integers because a root of unity has denominator 1."""
-    fld = get_field(chi.group.exponent)
-    return tuple(zip(*(fld.zeta(chi.value_exponent(g)).num for g in chi.group.elements())))
+def _exponents(chi: Character) -> tuple[int, ...]:
+    """The k with chi(g) = zeta^k for each g, in coordinate order."""
+    return tuple(chi.value_exponent(g) for g in chi.group.elements())
+
+
+@lru_cache(maxsize=None)
+def _orbit_table(group: FinAbGroup) -> dict[CharOrbit, tuple]:
+    """Each orbit's rank in ``dual_and_orbits`` (by ``sort_key``), the orbit
+    and its representative's exponents: sorting these triples sorts by rank."""
+    return {o: (r, o, _exponents(o.representative)) for r, o in enumerate(dual_and_orbits(group))}
 
 
 @lru_cache(maxsize=None)
 def _character_table(group: FinAbGroup) -> dict[CharOrbit, tuple[tuple[int, ...], ...]]:
-    """The rows of every orbit representative of the dual group."""
-    return {o: character_rows(o.representative) for o in dual_and_orbits(group)}
+    """Per orbit representative chi, one row per power-basis coordinate over
+    the elements: the numerators of zeta^{chi(g)}, integers (denominator 1)."""
+    fld = get_field(group.exponent)
+    table = _orbit_table(group).items()
+    return {o: tuple(zip(*(fld.zeta(k).num for k in e))) for o, (_, _, e) in table}
 
 
 def _evaluate(z: GroupRingElem, blocks) -> tuple[CycNum, ...]:
-    """sum_g c_g chi(g) for each block of rows, as integer numerators over the
-    lcm of the coefficient denominators, brought to canonical form once."""
-    G = z.group
-    fld = get_field(G.exponent)
-    den = lcm(*(c.denominator for _, c in z.coeffs))
-    strides = [prod(G.factors[i + 1:]) for i in range(len(G.factors))]
-    terms = [
-        (sum(a * s for a, s in zip(g.coords, strides)), c.numerator * (den // c.denominator))
-        for g, c in z.coeffs
-    ]
-    return tuple(
-        _canonical(fld, [sum(c * row[i] for i, c in terms) for row in rows], den)
-        for rows in blocks
-    )
+    """sum_g c_g zeta^{k_g} for each block of exponents k: each nonzero term
+    adds the sparse reduction of its power of zeta; one canonical form each."""
+    fld = get_field(z.group.exponent)
+    terms = [(i, c) for i, c in enumerate(z.num) if c]
+    out = []
+    for exps in blocks:
+        acc = [0] * fld.degree
+        for i, c in terms:
+            for j, r in fld._pow[exps[i]]:
+                acc[j] += c * r
+        out.append(_canonical(fld, acc, z.den))
+    return tuple(out)
 
 
 def char_eval(z: GroupRingElem, chi: Character) -> CycNum:
     if chi.group != z.group:
         raise ValueError("character and element over different groups")
-    return _evaluate(z, [character_rows(chi)])[0]
+    return _evaluate(z, [_exponents(chi)])[0]
 
 
 def supp_orbits(z: GroupRingElem) -> frozenset[CharOrbit]:
@@ -194,19 +233,13 @@ def supp_orbits(z: GroupRingElem) -> frozenset[CharOrbit]:
 
 
 def orbit_idempotent(orbit: CharOrbit) -> GroupRingElem:
-    """The rational idempotent cutting out one Galois orbit of characters."""
+    """The rational idempotent cutting out one Galois orbit of characters: at g
+    the trace of chi(g^-1) over the orbit (an integer) over |G|."""
     G = orbit.representative.group
-    n = G.exponent
-    fld = get_field(n)
-    data = {}
-    for g in G.elements():
-        total = fld.zero
-        for chi in orbit.members:
-            total = total + fld.zeta(-chi.value_exponent(g))
-        coeff = total.as_rational() / G.order
-        if coeff:
-            data[g] = coeff
-    return GroupRingElem.from_dict(G, data)
+    fld = get_field(G.exponent)
+    exps = [_exponents(chi) for chi in orbit.members]
+    traces = [sum((fld.zeta(-e[i]) for e in exps), fld.zero) for i in range(G.order)]
+    return _reduced(G, [int(t.as_rational()) for t in traces], G.order)
 
 
 @dataclass(frozen=True)
@@ -221,21 +254,14 @@ class ProjCoords:
         if len(self.orbits) != len(self.values):
             raise ValueError("one value per orbit required")
 
-    def _check(self, other: "ProjCoords"):
-        if self.orbits != other.orbits:
-            raise ValueError("projections over different orbit sets")
-
     def __mul__(self, other) -> "ProjCoords":
         if isinstance(other, (int, Fraction, CycNum)):
-            return ProjCoords(
-                self.group, self.orbits, tuple(v * other for v in self.values)
-            )
-        self._check(other)
-        return ProjCoords(
-            self.group,
-            self.orbits,
-            tuple(a * b for a, b in zip(self.values, other.values)),
-        )
+            values = tuple(v * other for v in self.values)
+        elif self.orbits != other.orbits:
+            raise ValueError("projections over different orbit sets")
+        else:
+            values = tuple(a * b for a, b in zip(self.values, other.values))
+        return ProjCoords(self.group, self.orbits, values)
 
     __rmul__ = __mul__
 
@@ -243,9 +269,7 @@ class ProjCoords:
         return ProjCoords(self.group, self.orbits, tuple(v**k for v in self.values))
 
     def inverse(self) -> "ProjCoords":
-        return ProjCoords(
-            self.group, self.orbits, tuple(v.inverse() for v in self.values)
-        )
+        return ProjCoords(self.group, self.orbits, tuple(v.inverse() for v in self.values))
 
     @property
     def is_zero(self) -> bool:
@@ -256,13 +280,12 @@ class ProjCoords:
 
 
 def canonical_orbits(group: FinAbGroup, orbits) -> tuple[CharOrbit, ...]:
-    return tuple(sorted(orbits, key=lambda o: o.sort_key()))
+    return tuple(e[1] for e in sorted(map(_orbit_table(group).__getitem__, orbits)))
 
 
 def project(z: GroupRingElem, orbits) -> ProjCoords:
-    orbs = canonical_orbits(z.group, orbits)
-    table = _character_table(z.group)
-    return ProjCoords(z.group, orbs, _evaluate(z, [table[o] for o in orbs]))
+    entries = sorted(map(_orbit_table(z.group).__getitem__, orbits))
+    return ProjCoords(z.group, tuple(e[1] for e in entries), _evaluate(z, [e[2] for e in entries]))
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +304,7 @@ def _preimage(target: ProjCoords, solve) -> GroupRingElem | None:
     sol = solve([row for o in target.orbits for row in table[o]], vec)
     if sol is None:
         return None
-    return GroupRingElem.from_dict(
-        target.group, {g: Fraction(c) for g, c in zip(target.group.elements(), sol)}
-    )
+    return GroupRingElem.from_terms(target.group, enumerate(sol))
 
 
 def lattice_preimage(target: ProjCoords) -> GroupRingElem | None:

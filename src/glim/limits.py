@@ -19,13 +19,16 @@ import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import gcd, isqrt, prod
+from operator import mul
 
 from .abelian import (
     CharOrbit,
     FinAbGroup,
     GroupElem,
     Subgroup,
+    _element_index,
     dual_and_orbits,
     quotient,
 )
@@ -100,14 +103,13 @@ def payload_elem(group: FinAbGroup, payload) -> GroupRingElem:
     """The group-ring element a certificate's label names.  A term's ``elem``
     must be a list of ints and its ``mult`` exactly what ``elem_payload``
     writes, an ``int`` or a ``"p/q"`` string; anything else raises."""
-    data: dict[GroupElem, Fraction] = {}
+    terms = []
     for item in payload:
         m = item["mult"]
         if type(m) not in (int, str) or _mult_payload(q := Fraction(m)) != m:
             raise ValueError(f"multiplicity {m!r} is not an int or a 'p/q' string")
-        g = group.element(item["elem"])
-        data[g] = data.get(g, Fraction(0)) + q
-    return GroupRingElem.from_dict(group, data)
+        terms.append(GroupRingElem.from_dict(group, {group.element(item["elem"]): q}))
+    return sum(terms, GroupRingElem.zero(group))
 
 
 def orbit_payload(o: CharOrbit) -> dict:
@@ -163,21 +165,14 @@ def quotient_pushforward(d: LimitDescriptor, sub: Subgroup) -> LimitDescriptor:
     if d.division is not None:
         raise ValueError("pushforward is defined on elementary descriptors")
     target, alpha = quotient(d.group, sub)
+    index = _element_index(target)
+    image = [index[alpha[g].coords] for g in d.group.elements()]
 
     def push(z: GroupRingElem) -> GroupRingElem:
-        data: dict[GroupElem, Fraction] = {}
-        for g, c in z.coeffs:
-            h = alpha[g]
-            data[h] = data.get(h, Fraction(0)) + c
-        return GroupRingElem.from_dict(target, data)
+        return GroupRingElem.from_terms(target, zip(image, z.num), z.den)
 
-    return LimitDescriptor(
-        target,
-        push(d.x0),
-        tuple(push(a) for a in d.prefix),
-        tuple(push(a) for a in d.cycle),
-        None,
-    )
+    prefix, cycle = tuple(map(push, d.prefix)), tuple(map(push, d.cycle))
+    return LimitDescriptor(target, push(d.x0), prefix, cycle)
 
 
 def standard_form(d: LimitDescriptor) -> LimitDescriptor:
@@ -396,9 +391,7 @@ def scaling_invertible(
     supp_c = supp_orbits(c)
     missing = [o for o in k0.orbits if o not in supp_c]
     if missing:
-        return TriBool.no(
-            {"kind": "support-deficit", "orbit": orbit_payload(missing[0])}
-        )
+        return TriBool.no({"kind": "support-deficit", "orbit": orbit_payload(missing[0])})
     target = k0.ones() * project(c.bar(), k0.orbits).inverse()
     inner = in_positive_cone(k0, target, budget)
     cert = {"kind": "scaling", "scaler": elem_payload(c), "inner": inner.certificate}
@@ -423,9 +416,7 @@ def absorbs_k0(k0: K0Descriptor, d_class: DivisionClass, budget: int = DEFAULT_B
                 }
             )
     order = d_class.support.order
-    inner = scaling_invertible(
-        k0, GroupRingElem.constant(k0.group, order), budget
-    )
+    inner = scaling_invertible(k0, GroupRingElem.constant(k0.group, order), budget)
     cert = {"kind": "absorption", "support_order": order, "inner": inner.certificate}
     return TriBool(inner.verdict, cert)
 
@@ -595,21 +586,16 @@ def iso_elementary(
 
     s_is_everything = len(k0a.orbits) == len(dual_and_orbits(d.group))
     start = 0 if s_is_everything else 1
-    candidates_b2: list[GroupRingElem] = []
-    power = GroupRingElem.one(d.group)
-    for k in range(budget + 1):
-        if k:
-            power = power * k0b.cycle_bar
-        if k >= start:
-            candidates_b2.append(power)
+    # the powers cycle_bar^k for k = start..budget
+    powers = accumulate([k0b.cycle_bar] * budget, mul, initial=GroupRingElem.one(d.group))
+    candidates_b2 = list(powers)[start:]
 
-    shifts = sorted(d.group.elements(), key=lambda e: e.coords)
     for b2 in candidates_b2:
         rhs = b2 * k0b.x0_bar
         lhs = b2 * k0a.x0_bar
         # order units related by a shift: try translated copies of b' first
         # (the identity comes first, so b' itself when the order units agree)
-        b_list = [b2.translate(g) for g in shifts if lhs.translate(g) == rhs]
+        b_list = [b2.translate(g) for g in d.group.elements() if lhs.translate(g) == rhs]
         for pinned in (None, b2, b2 * k0a.cycle_bar):
             cand = _solve_initial_factor(k0a, rhs, pinned)
             if cand is not None:
@@ -661,10 +647,7 @@ def _mutual_cone_equality(
 
 def _shift_between(x: GroupRingElem, y: GroupRingElem) -> GroupElem | None:
     """A group element g with g*x = y, if one exists."""
-    for g in sorted(x.group.elements(), key=lambda e: e.coords):
-        if x.translate(g) == y:
-            return g
-    return None
+    return next((g for g in x.group.elements() if x.translate(g) == y), None)
 
 
 def _primes_up_to(bound: int) -> list[int]:

@@ -208,13 +208,20 @@ class FiniteGradedAlgebra:
         self.addition = add = _addition_table(group)
         m, dim = len(self.roots), self.dim
         self._rows = rows = [{} for _ in range(dim)]
-        for (i, j), cell in table.items():
-            k, e = cell
-            if not (0 <= k < dim and 0 <= e < m):
-                raise ValueError("structure-constant cell out of range")
-            if add[deg[i]][deg[j]] != deg[k]:
-                raise ValueError("structure constants violate the grading")
-            rows[i][j] = cell
+        # a key outside range(dim), negative ones too, misses these dicts
+        by_index = dict(enumerate(deg))
+        by_row = {i: (rows[i], add[d]) for i, d in by_index.items()}
+        try:
+            for (i, j), cell in table.items():
+                row, add_i = by_row[i]
+                k, e = cell
+                if not (0 <= k < dim and 0 <= e < m):
+                    raise ValueError("structure-constant cell out of range")
+                if add_i[by_index[j]] != deg[k]:
+                    raise ValueError("structure constants violate the grading")
+                row[j] = cell
+        except KeyError:
+            raise ValueError("structure-constant key out of range") from None
         for i in range(self.dim):
             e_i = {i: self.field.one}
             if self.mul(self.unit, e_i) != e_i or self.mul(e_i, self.unit) != e_i:
@@ -381,9 +388,7 @@ def build_matrix(
     if not x.is_nonneg_integer:
         raise ValueError("matrix multiset must be a nonnegative integer element")
     G = x.group
-    gamma: list[GroupElem] = []
-    for g, c in x.coeffs:
-        gamma.extend([g] * int(c))
+    gamma = [g for g, c in x.coeffs for _ in range(int(c))]
     size = len(gamma)
     inner_dim = division.support.order if division is not None else 1
     if size * size * inner_dim > DIM_CAP:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -81,3 +82,21 @@ def random_descriptor(rng: random.Random, group: FinAbGroup) -> LimitDescriptor:
     cycle = tuple(random_label(rng, group) for _ in range(rng.randint(1, 2)))
     prefix = tuple(random_label(rng, group) for _ in range(rng.randint(0, 1)))
     return LimitDescriptor(group, x0, prefix, cycle)
+
+
+PRESENTATION_TRANSFORMS = ["unroll-twice", "period-to-prefix", "shift-x0", "rotate-cycle"]
+
+
+def equivalent_presentation(rng: random.Random, d: LimitDescriptor, transform: str):
+    """Another presentation of the same limit as ``d``: the cycle unrolled
+    twice, one period moved into the prefix, x0 translated, or the cycle
+    rotated by one label into the prefix."""
+    if transform == "unroll-twice":
+        return replace(d, cycle=d.cycle + d.cycle)
+    if transform == "period-to-prefix":
+        return replace(d, prefix=d.prefix + d.cycle)
+    if transform == "shift-x0":
+        return replace(d, x0=d.x0.translate(rng.choice(d.group.elements())))
+    if transform == "rotate-cycle":
+        return replace(d, prefix=d.prefix + d.cycle[:1], cycle=d.cycle[1:] + d.cycle[:1])
+    raise ValueError(f"unknown transform {transform}")

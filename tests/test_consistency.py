@@ -18,7 +18,12 @@ from glim.limits import (
     tensor_elementary,
 )
 
-from conftest import random_descriptor, random_label
+from conftest import (
+    PRESENTATION_TRANSFORMS,
+    equivalent_presentation,
+    random_descriptor,
+    random_label,
+)
 
 
 def test_shifted_descriptors_are_isomorphic():
@@ -162,3 +167,26 @@ def test_iso_verdict_never_flips_with_orientation():
         assert verdicts != {"yes", "no"}, (a, b)
         both_certified += "unknown" not in verdicts
     assert len(pairs) == 48 and both_certified >= 24
+
+
+def test_iso_verdict_does_not_depend_on_presentation():
+    # a re-presentation p(a) is the same limit as a: iso(a, p(a)) is never
+    # `no`, and (p(a), b) never gets the certified verdict opposite to that of
+    # (a, b).  p runs over the four re-presentations and the cycle merged by
+    # standard_form.  Pairs that end `unknown` stay in the draw.  Groups and
+    # budgets are those of the decide-mixed corpus.
+    rng = random.Random(18)
+    both_certified = 0
+    for factors in ([2, 2], [4, 2], [2, 2, 2], [3, 3], [6, 2], [4, 4]):
+        g = group_new(factors)
+        for i in range(2):
+            a = random_descriptor(rng, g)
+            b = random_descriptor(rng, g) if i % 2 else tensor_elementary(a, random_label(rng, g))
+            verdict = iso_elementary(a, b, 8, 7).verdict
+            presentations = [equivalent_presentation(rng, a, t) for t in PRESENTATION_TRANSFORMS]
+            for pa in presentations + [standard_form(a)]:
+                assert iso_elementary(a, pa, 8, 7).verdict != "no", (a, pa)
+                verdicts = {verdict, iso_elementary(pa, b, 8, 7).verdict}
+                assert verdicts != {"yes", "no"}, (pa, b)
+                both_certified += "unknown" not in verdicts
+    assert both_certified >= 30  # 40 of the 60 (p(a), b) pairs at this seed

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -255,3 +256,140 @@ def test_cone_implies_lattice_and_product_stability():
         # both closed under coordinatewise multiplication by a multiset image
         assert cone_preimage(t * project(w, orbits)) is not None
         assert lattice_preimage(t * project(w, orbits)) is not None
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, None, "1"])
+def test_only_int_and_fraction_enter_the_group_ring(klein, bad):
+    g = klein.element((1, 0))
+    one = GroupRingElem.one(klein)
+    for build in (
+        lambda: GroupRingElem.from_dict(klein, {g: bad}),
+        lambda: GroupRingElem.constant(klein, bad),
+        lambda: one.scale(bad),
+        lambda: one * bad,
+    ):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            build()
+    if not isinstance(bad, str):  # str * x is sequence repetition
+        with pytest.raises(ValueError, match="int or Fraction"):
+            bad * one
+    assert GroupRingElem.from_dict(klein, {g: Fraction(1, 2)}) == one.translate(g).scale(
+        Fraction(1, 2)
+    )
+    assert 3 * one == one.scale(3) == GroupRingElem.constant(klein, 3)
+
+
+# ---------------------------------------------------------------------------
+# every operation against a dict-of-Fraction reference on coordinate tuples
+
+DECIDE_MIXED_GROUPS = [(2, 2), (4, 2), (2, 2, 2), (3, 3), (6, 2), (4, 4)]
+REFERENCE_GROUPS = DECIDE_MIXED_GROUPS + [(8,), (2, 2, 2, 2), (8, 8)]
+_coefficients = st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=6)
+)
+
+
+def _ref_add(group, *xs):
+    out = {}
+    for x in xs:
+        for k, c in x.items():
+            out[k] = out.get(k, 0) + c
+    return {k: Fraction(c) for k, c in out.items() if c}
+
+
+def _ref_mul(group, x, y):
+    return _ref_add(
+        group,
+        *(
+            {tuple((p + q) % d for p, q, d in zip(a, b, group.factors)): ca * cb}
+            for a, ca in x.items()
+            for b, cb in y.items()
+        ),
+    )
+
+
+def _ref_value(group, x, chi):
+    fld = get_field(group.exponent)
+    return sum((fld.zeta(chi.value_exponent(group.element(k))) * c for k, c in x.items()), fld.zero)
+
+
+def _ref_of(z):
+    return {g.coords: c for g, c in z.coeffs}
+
+
+def _assert_canonical(z, ref):
+    """z is in canonical form and has exactly the reference coefficients."""
+    assert len(z.num) == z.group.order and z.den >= 1
+    assert gcd(z.den, *z.num) == 1
+    assert _ref_of(z) == ref
+    assert [g.coords for g, _ in z.coeffs] == sorted(ref)
+    assert z.is_zero == (not ref)
+    assert z.size() == sum(ref.values(), Fraction(0))
+    assert z.is_integer == all(c.denominator == 1 for c in ref.values())
+    assert z.is_nonneg_integer == all(c.denominator == 1 and c >= 0 for c in ref.values())
+    for g in z.group.elements():
+        assert z.coeff(g) == ref.get(g.coords, 0)
+
+
+@st.composite
+def _element_pairs(draw):
+    """Two coefficient dicts over one group; about one pair in three
+    multiplies to zero: a multiple of 1 + t + ... + t^(o-1) and of 1 - t
+    for an element t of order o."""
+    group = group_new(draw(st.sampled_from(REFERENCE_GROUPS)))
+    elems = [g.coords for g in group.elements()]
+
+    def sparse():
+        keys = draw(st.lists(st.sampled_from(elems), max_size=6, unique=True))
+        return {k: Fraction(draw(_coefficients)) for k in keys}
+
+    x, y = sparse(), sparse()
+    if draw(st.integers(0, 2)) == 0:
+        t = group.element(draw(st.sampled_from(elems)))
+        orbit = {(t ** i).coords: Fraction(1) for i in range(t.order)}
+        one_minus_t = _ref_add(group, {group.identity.coords: 1}, {t.coords: -1})
+        x = _ref_mul(group, _ref_add(group, x, {group.identity.coords: 1}), orbit)
+        y = _ref_mul(group, _ref_add(group, y, {group.identity.coords: 1}), one_minus_t)
+    return group, x, y
+
+
+def _from_ref(group, ref):
+    return GroupRingElem.from_dict(group, {group.element(k): c for k, c in ref.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_element_pairs(), st.data())
+def test_every_operation_matches_the_fraction_reference(pair, data):
+    group, x, y = pair
+    z, w = _from_ref(group, x), _from_ref(group, y)
+    _assert_canonical(z, _ref_add(group, x))
+    assert z.as_dict() == {group.element(k): c for k, c in _ref_add(group, x).items()}
+    assert (z == w) == (_ref_add(group, x) == _ref_add(group, y))
+    if z == w:
+        assert hash(z) == hash(w)
+    _assert_canonical(z + w, _ref_add(group, x, y))
+    _assert_canonical(z - w, _ref_add(group, x, {k: -c for k, c in y.items()}))
+    _assert_canonical(z * w, _ref_mul(group, x, y))
+    s = data.draw(_coefficients)
+    _assert_canonical(z.scale(s), _ref_add(group, {k: c * s for k, c in x.items()}))
+    _assert_canonical(s * z, _ref_add(group, {k: c * s for k, c in x.items()}))
+    inverse = lambda k: tuple(-a % d for a, d in zip(k, group.factors))
+    _assert_canonical(z.bar(), _ref_add(group, {inverse(k): c for k, c in x.items()}))
+    h = group.element(data.draw(st.sampled_from([g.coords for g in group.elements()])))
+    _assert_canonical(z.translate(h), _ref_mul(group, x, {h.coords: Fraction(1)}))
+    k = data.draw(st.integers(0, 3))
+    power = {group.identity.coords: Fraction(1)}
+    for _ in range(k):
+        power = _ref_mul(group, power, x)
+    _assert_canonical(z**k, power)
+    orbits = dual_and_orbits(group)
+    chosen = data.draw(st.lists(st.sampled_from(orbits), unique=True, max_size=4))
+    pz = project(z, chosen)
+    assert pz.orbits == tuple(o for o in orbits if o in chosen)
+    assert pz.values == tuple(_ref_value(group, x, o.representative) for o in pz.orbits)
+    members = [chi for o in orbits for chi in o.members]
+    for chi in data.draw(st.lists(st.sampled_from(members), min_size=1, max_size=4)):
+        assert char_eval(z, chi) == _ref_value(group, x, chi)
+    assert supp_orbits(z) == frozenset(
+        o for o in orbits if not _ref_value(group, x, o.representative).is_zero
+    )

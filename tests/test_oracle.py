@@ -266,6 +266,36 @@ def test_cell_with_exponent_out_of_range_is_rejected():
             _with_cell(alg, lambda cell: (cell[0], bad_exponent))
 
 
+def _with_key(alg, key, source):
+    """alg's table plus the cell of ``source`` copied under ``key``."""
+    table = dict(alg.table)
+    table[key] = table[source]
+    return FiniteGradedAlgebra(alg.group, alg.degrees, table, alg.unit)
+
+
+def _klein_twisted(klein_full):
+    return build_twisted(Bicharacter.from_exponents(klein_full, [[0, 1], [1, 0]]))
+
+
+def test_negative_row_key_is_rejected(klein_full):
+    # Python indexing would file it under row dim - 1, the cell it copies
+    alg = _klein_twisted(klein_full)
+    with pytest.raises(ValueError, match="key out of range"):
+        _with_key(alg, (-1, 0), (alg.dim - 1, 0))
+
+
+def test_negative_column_key_is_rejected(klein_full):
+    alg = _klein_twisted(klein_full)
+    with pytest.raises(ValueError, match="key out of range"):
+        _with_key(alg, (0, -1), (0, alg.dim - 1))
+
+
+def test_row_key_past_the_dimension_is_rejected(klein_full):
+    alg = _klein_twisted(klein_full)
+    with pytest.raises(ValueError, match="key out of range"):
+        _with_key(alg, (alg.dim, 0), (alg.dim - 1, 0))
+
+
 def test_cell_in_the_wrong_degree_is_rejected():
     alg = _twisted_z42()  # one basis element per degree
     e = alg.degrees.index(alg.group.identity)
