@@ -161,6 +161,8 @@ def _load_json(path: str):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise DescriptorError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
+        except RecursionError as exc:
+            raise DescriptorError(path, "JSON nested too deeply") from exc
 
 
 def load_descriptor(path: str) -> LimitDescriptor:

@@ -13,25 +13,24 @@ dimension count that is asserted on every call.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt
-from operator import add, mod, mul
+from operator import mul
 
 from .abelian import (
     Character,
     FinAbGroup,
     GroupElem,
     Subgroup,
-    _element_index,
+    _addition_table,
     all_subgroups,
     subgroup_basis,
     subgroup_from_members,
 )
 from .exactsolve import smith_normal_form
-from .groupring import GroupRingElem
+from .groupring import GroupRingElem, subgroup_sum
 
 
 def _form(matrix, u, v, n: int) -> int:
@@ -288,56 +287,42 @@ def brauer_unlift(b: BrauerClass) -> tuple[Subgroup, Bicharacter]:
     return support, Bicharacter(support, rows)
 
 
-def _convolve(factors, a: dict, b: dict) -> Counter:
-    """The product of two group ring elements given as integer counts on
-    coordinate tuples."""
-    out: Counter = Counter()
-    for x, cx in a.items():
-        for y, cy in b.items():
-            out[tuple(map(mod, map(add, x, y), factors))] += cx * cy
-    return out
-
-
 def brauer_mul(
     d: DivisionClass, dprime: DivisionClass
 ) -> tuple[DivisionClass, GroupRingElem, Subgroup]:
     """Invariants (E, y, H) of D (x) D'^op = M_y(E); H = T*T'.
 
     y is uniform with multiplicity m on the first element, in coordinate
-    order, of each Supp(E)-coset of H.  Past lift and unlift all runs on
-    integer counts over coordinate tuples: H is the span of both generator
-    tuples and the support of x_T*x_{T'}, whose count at the identity is
-    |T cap T'|, and the dimension identity y*ybar*x_{T_E} = x_T*x_{T'} is
-    asserted.
+    order, of each Supp(E)-coset of H.  Past lift and unlift all runs in the
+    integer group ring: H is the span of both generator tuples and the
+    support of x_T*x_{T'}, whose coefficient at the identity is |T cap T'|,
+    and the dimension identity y*ybar*x_{T_E} = x_T*x_{T'} is asserted.
     """
     if d.group != dprime.group:
         raise ValueError("division classes over different groups")
     G = d.group
     t_e, beta_e = brauer_unlift(brauer_lift(d) * brauer_lift(dprime).inverse())
     e_class = DivisionClass(beta_e)
-    x_t, x_tprime, x_te = (
-        dict.fromkeys((g.coords for g in sub.elements), 1)
-        for sub in (d.support, dprime.support, t_e)
-    )
-    rhs = _convolve(G.factors, x_t, x_tprime)
+    x_te = subgroup_sum(t_e)
+    rhs = subgroup_sum(d.support) * subgroup_sum(dprime.support)
     H = Subgroup(G, d.support.generators + dprime.support.generators)
     if not t_e <= H:
         raise RuntimeError("support of the product class escaped T*T'")
-    m_sq = Fraction(rhs[G.identity.coords] * t_e.order, H.order)
+    m_sq = Fraction(rhs.num[0] * t_e.order, H.order)
     if m_sq.denominator != 1 or isqrt(int(m_sq)) ** 2 != int(m_sq):
         raise RuntimeError("matrix multiplicity is not a perfect integer square")
     mult = isqrt(int(m_sq))
-    reps: list[tuple[int, ...]] = []
-    covered: Counter = Counter()
-    for h in sorted(rhs):
-        if h not in covered:
+    add = _addition_table(G)
+    coset = [t for t, c in enumerate(x_te.num) if c]
+    reps: list[int] = []
+    covered: set[int] = set()
+    for h, c in enumerate(rhs.num):
+        if c and h not in covered:
             reps.append(h)
-            covered.update(_convolve(G.factors, {h: mult}, x_te))
-    ybar = {tuple((-a) % f for a, f in zip(r, G.factors)): mult for r in reps}
-    if _convolve(G.factors, covered, ybar) != rhs:
+            covered.update(add[h][t] for t in coset)
+    y = GroupRingElem.from_terms(G, ((r, mult) for r in reps))
+    if y * y.bar() * x_te != rhs:
         raise RuntimeError("dimension identity failed for the computed multiset")
-    index = _element_index(G)
-    y = GroupRingElem.from_terms(G, ((index[r], mult) for r in reps))
     return e_class, y, H
 
 

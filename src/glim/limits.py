@@ -28,7 +28,6 @@ from .abelian import (
     FinAbGroup,
     GroupElem,
     Subgroup,
-    _element_index,
     dual_and_orbits,
     quotient,
 )
@@ -41,6 +40,7 @@ from .groupring import (
     cone_preimage,
     lattice_preimage,
     project,
+    pushforward,
     subgroup_sum,
     supp_orbits,
 )
@@ -165,12 +165,7 @@ def quotient_pushforward(d: LimitDescriptor, sub: Subgroup) -> LimitDescriptor:
     if d.division is not None:
         raise ValueError("pushforward is defined on elementary descriptors")
     target, alpha = quotient(d.group, sub)
-    index = _element_index(target)
-    image = [index[alpha[g].coords] for g in d.group.elements()]
-
-    def push(z: GroupRingElem) -> GroupRingElem:
-        return GroupRingElem.from_terms(target, zip(image, z.num), z.den)
-
+    push = functools.partial(pushforward, target=target, alpha=alpha)
     prefix, cycle = tuple(map(push, d.prefix)), tuple(map(push, d.cycle))
     return LimitDescriptor(target, push(d.x0), prefix, cycle)
 

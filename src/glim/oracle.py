@@ -13,7 +13,6 @@ bicharacter of E comes out with the same orientation as the input data.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -36,7 +35,7 @@ from .divalg import (
     brauer_mul,
     enumerate_division_classes,
 )
-from .groupring import GroupRingElem
+from .groupring import GroupRingElem, pushforward
 
 DIM_CAP = 4096
 ASSOC_CHECK_DIM = 64
@@ -752,17 +751,17 @@ class WedderburnInvariant:
     quotient_factors: tuple[int, ...]
 
 
-def normalize_coset_multiset(qgroup: FinAbGroup, counts: Counter) -> tuple:
-    """Canonical representative of a multiset over a group modulo shift."""
-    best = None
-    for shift in qgroup.elements():
-        shifted = sorted(
-            ((tuple((g * shift).coords), m) for g, m in counts.items())
-        )
-        key = tuple(shifted)
-        if best is None or key < best:
-            best = key
-    return best if best is not None else ()
+def normalize_coset_multiset(counts: GroupRingElem) -> tuple:
+    """Canonical representative of an integer multiset over a group modulo
+    shift: the least of its translates' (coords, count) pairs, listed in
+    coordinate order."""
+    if not counts.is_integer:
+        raise ValueError("a coset multiset has integer counts")
+    elems = counts.group.elements()
+    return min(
+        tuple((elems[i].coords, c) for i, c in enumerate(shifted.num) if c)
+        for shifted in map(counts.translate, elems)
+    )
 
 
 def graded_simple_decompose(a: FiniteGradedAlgebra) -> WedderburnInvariant:
@@ -799,19 +798,16 @@ def graded_simple_decompose(a: FiniteGradedAlgebra) -> WedderburnInvariant:
     # are one-dimensional (every W block is): a basis vector of degree d spans
     # one dimension in each degree of dT, so a coset holds |T| per basis vector
     qgroup, alpha = quotient(a.group, sub)
-    dims: Counter = Counter()
-    for deg, block in mod.blocks.items():
-        dims[alpha[elems[deg]]] += block.dim
-    if any(c % sub.order for c in dims.values()):
+    dims = GroupRingElem.from_terms(a.group, ((d, b.dim) for d, b in mod.blocks.items()))
+    counts = pushforward(dims, qgroup, alpha).scale(Fraction(1, sub.order))
+    if not counts.is_integer:
         raise RuntimeError("coset dimension off |T|")
-    counts = {q: c // sub.order for q, c in dims.items()}
-    if a.dim != sum(counts.values()) ** 2 * sub.order:
+    if a.dim != counts.size() ** 2 * sub.order:
         raise RuntimeError("dimension check failed")
-    multiset = normalize_coset_multiset(qgroup, counts)
     return WedderburnInvariant(
         support=sub,
         bichar=bichar,
-        coset_multiset=multiset,
+        coset_multiset=normalize_coset_multiset(counts),
         quotient_factors=qgroup.factors,
     )
 
@@ -831,13 +827,10 @@ def expected_tensor_invariant(
     """The invariant of D1 (x) D2^op predicted by the Brauer arithmetic."""
     e_class, y, _h = brauer_mul(d1, d2)
     qgroup, alpha = quotient(d1.group, e_class.support)
-    counts: Counter = Counter()
-    for g, c in y.coeffs:
-        counts[alpha[g]] += int(c)
     return WedderburnInvariant(
         support=e_class.support,
         bichar=e_class.bichar,
-        coset_multiset=normalize_coset_multiset(qgroup, counts),
+        coset_multiset=normalize_coset_multiset(pushforward(y, qgroup, alpha)),
         quotient_factors=qgroup.factors,
     )
 

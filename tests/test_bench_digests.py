@@ -18,6 +18,10 @@ DIGESTS = {
         "1c95c25f1410a5fcf7a5ddd8c9153a249be072fcf36cd69ab23d6028abb2fab3",
         "90cbd98da83a031979f6b1e84958384fb4f6c397b3f727696f185ebc077d4a82",
     ),
+    "iso-equivalent": (
+        "863327b2529bc48de0c36bba7ea8ef55dfc73bd32c2e481aa2d4df4a71e42ff8",
+        "af194cc4d2d63332d014a7fa9e57c4fb55d605a0913d1a43589569858656a627",
+    ),
     "oracle-crossval": (
         "09d25a36dbd123a7631ac102fd0f9d30376e6c3e96b60f55849921050f8fac30",
         "9a75060440d0abf1213386548e4f1417d33f171f02fd41e361c05aafad136430",

@@ -366,6 +366,16 @@ def test_malformed_input_is_an_error_naming_its_key(tmp_path, capsys, command, p
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["standard-form"], ["brauer", "inv"]])
+def test_deeply_nested_json_is_an_error_naming_the_file(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)  # beyond what json.dumps can build
+    assert main(command + [str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert f"{deep}: JSON nested too deeply" in err
+    assert "Traceback" not in err
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=2),
     lambda inner: st.lists(inner, max_size=3)

@@ -190,3 +190,22 @@ def test_iso_verdict_does_not_depend_on_presentation():
                 assert verdicts != {"yes", "no"}, (pa, b)
                 both_certified += "unknown" not in verdicts
     assert both_certified >= 30  # 40 of the 60 (p(a), b) pairs at this seed
+
+
+def test_tensor_with_a_matrix_factor_respects_presentation():
+    # tensor compatibility: a and a re-presentation p(a) are the same limit,
+    # so a (x) m and p(a) (x) m are isomorphic and iso must never say `no`.
+    # p runs over the four re-presentations.  Pairs that end `unknown` stay
+    # in the draw.  Groups and budgets are those of the decide-mixed corpus.
+    rng = random.Random(20)
+    verdicts = []
+    for factors in ([2, 2], [4, 2], [2, 2, 2], [3, 3], [6, 2], [4, 4]):
+        g = group_new(factors)
+        for _ in range(2):
+            a, m = random_descriptor(rng, g), random_label(rng, g)
+            for t in PRESENTATION_TRANSFORMS:
+                pa = equivalent_presentation(rng, a, t)
+                r = iso_elementary(tensor_elementary(a, m), tensor_elementary(pa, m), 8, 7)
+                assert r.verdict != "no", (a, pa, m)
+                verdicts.append(r.verdict)
+    assert len(verdicts) == 48 and verdicts.count("yes") >= 40  # 48 at this seed

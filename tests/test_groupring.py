@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -8,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from glim.abelian import (
     Character,
     Subgroup,
+    all_subgroups,
     dual_and_orbits,
     group_new,
+    quotient,
 )
 from glim.cyclotomic import get_field
 from glim.groupring import (
@@ -21,6 +24,7 @@ from glim.groupring import (
     lattice_preimage,
     orbit_idempotent,
     project,
+    pushforward,
     subgroup_sum,
     supp_orbits,
 )
@@ -393,3 +397,24 @@ def test_every_operation_matches_the_fraction_reference(pair, data):
     assert supp_orbits(z) == frozenset(
         o for o in orbits if not _ref_value(group, x, o.representative).is_zero
     )
+
+
+def _ref_push(alpha, x):
+    counts = Counter()
+    for g, c in alpha.items():
+        counts[c.coords] += x.get(g.coords, 0)
+    return {k: Fraction(c) for k, c in counts.items() if c}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_element_pairs(), st.data())
+def test_pushforward_is_the_fibre_sum_and_a_ring_map(pair, data):
+    group, x, y = pair
+    target, alpha = quotient(group, data.draw(st.sampled_from(all_subgroups(group))))
+    z, w = _from_ref(group, x), _from_ref(group, y)
+    pz = pushforward(z, target, alpha)
+    _assert_canonical(pz, _ref_push(alpha, x))
+    assert pz.size() == z.size()
+    pw = pushforward(w, target, alpha)
+    assert pushforward(z * w, target, alpha) == pz * pw
+    assert pushforward(z + w, target, alpha) == pz + pw

@@ -1,13 +1,22 @@
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from glim.abelian import FinAbGroup, GroupElem, Subgroup, _element_index, group_new, quotient
+from glim.abelian import (
+    FinAbGroup,
+    GroupElem,
+    Subgroup,
+    _element_index,
+    all_subgroups,
+    group_new,
+    quotient,
+)
 from glim.cli import _ORACLE_CATALOG
 from glim.cyclotomic import get_field
 from glim.divalg import Bicharacter, DivisionClass, enumerate_division_classes
-from glim.groupring import GroupRingElem
+from glim.groupring import GroupRingElem, pushforward
 from glim.oracle import (
     FiniteGradedAlgebra,
     _Echelon,
@@ -95,8 +104,35 @@ def test_build_matrix_over_division_classes(factors):
             inv = graded_simple_decompose(alg)
             assert inv.support == cls.support
             assert inv.bichar == cls.bichar
-            cosets = Counter([alpha[g.identity], alpha[gen]])
-            assert inv.coset_multiset == normalize_coset_multiset(qgroup, cosets)
+            cosets = pushforward(x, qgroup, alpha)
+            assert inv.coset_multiset == normalize_coset_multiset(cosets)
+
+
+def _reference_normalize(qgroup, counts: Counter) -> tuple:
+    """The least shift of a Counter over the group's elements, as sorted
+    (coords, count) pairs."""
+    best = None
+    for shift in qgroup.elements():
+        key = tuple(sorted((tuple((g * shift).coords), m) for g, m in counts.items()))
+        if best is None or key < best:
+            best = key
+    return best if best is not None else ()
+
+
+@pytest.mark.parametrize("factors", _ORACLE_CATALOG)
+def test_normalize_coset_multiset_matches_the_counter_reference(factors):
+    rng = random.Random(str(factors))
+    g = FinAbGroup(factors)
+    for sub in all_subgroups(g):
+        qgroup, _ = quotient(g, sub)
+        for _ in range(3):
+            x = random_label(rng, qgroup, max_terms=4)
+            want = _reference_normalize(qgroup, Counter({h: int(c) for h, c in x.coeffs}))
+            assert normalize_coset_multiset(x) == want
+            assert normalize_coset_multiset(x.translate(rng.choice(qgroup.elements()))) == want
+    assert normalize_coset_multiset(GroupRingElem.zero(g)) == ()
+    with pytest.raises(ValueError, match="integer counts"):
+        normalize_coset_multiset(GroupRingElem.one(g).scale(Fraction(1, 2)))
 
 
 def test_tensor_examples(klein, pauli, x_t):
