@@ -156,6 +156,8 @@ def parse_descriptor(payload: dict, path: str = "descriptor") -> LimitDescriptor
 
 
 def _load_json(path: str):
+    """The file's JSON; a file that is not UTF-8 JSON within Python's limits
+    (nesting depth, digits of an integer) is a ``DescriptorError`` naming it."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -163,6 +165,8 @@ def _load_json(path: str):
             raise DescriptorError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
         except RecursionError as exc:
             raise DescriptorError(path, "JSON nested too deeply") from exc
+        except ValueError as exc:  # not UTF-8, or an integer too long to convert
+            raise DescriptorError(path, str(exc)) from exc
 
 
 def load_descriptor(path: str) -> LimitDescriptor:

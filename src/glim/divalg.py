@@ -202,6 +202,11 @@ class DivisionClass:
     def is_trivial(self) -> bool:
         return self.support.order == 1
 
+    @cached_property
+    def lift(self) -> "BrauerClass":
+        """The Brauer lift (``brauer_lift``), derived once per class."""
+        return brauer_lift(self)
+
     def __repr__(self) -> str:
         return f"DivisionClass(T order {self.support.order} of {self.group})"
 
@@ -301,7 +306,7 @@ def brauer_mul(
     if d.group != dprime.group:
         raise ValueError("division classes over different groups")
     G = d.group
-    t_e, beta_e = brauer_unlift(brauer_lift(d) * brauer_lift(dprime).inverse())
+    t_e, beta_e = brauer_unlift(d.lift * dprime.lift.inverse())
     e_class = DivisionClass(beta_e)
     x_te = subgroup_sum(t_e)
     rhs = subgroup_sum(d.support) * subgroup_sum(dprime.support)

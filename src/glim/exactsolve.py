@@ -12,6 +12,7 @@ augmented matrix (we use a Hadamard-style product of column norms).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -147,30 +148,40 @@ def smith_normal_form(
     return A, U, V
 
 
-def _smith_solve(rows: list[list[int]], b: list[int]) -> tuple[list[int] | None, int]:
-    """One integer solution of A x = b (None if none exists) and the rank of A."""
-    m = len(rows)
-    k = len(rows[0])
+def smith_form(rows: list[list[int]]):
+    """The Smith form of A as immutable tuples (diagonal, U, V): U*A*V is
+    diagonal with the given entries (one per row, 0 past the columns), in a
+    divisibility chain.  A fixed system can keep it and pass it to the
+    solvers below."""
     S, U, V = smith_normal_form(rows)
-    c = [sum(U[i][j] * b[j] for j in range(m)) for i in range(m)]
-    rank = sum(1 for i in range(min(m, k)) if S[i][i])
-    y = [0] * k
-    for i in range(m):
-        d = S[i][i] if i < k else 0
+    k = len(V)
+    diag = tuple(S[i][i] if i < k else 0 for i in range(len(S)))
+    return diag, tuple(map(tuple, U)), tuple(map(tuple, V))
+
+
+def _smith_solve(b: list[int], smith) -> tuple[list[int] | None, int]:
+    """One integer solution of A x = b (None if none exists) and the rank of
+    A, from ``smith``, A's ``smith_form``."""
+    diag, U, V = smith
+    rank = sum(1 for d in diag if d)
+    y = [0] * len(V)
+    for i, (d, u) in enumerate(zip(diag, U)):
+        c = sum(map(mul, u, b))
         if d:
-            if c[i] % d:
+            if c % d:
                 return None, rank
-            y[i] = c[i] // d
-        elif c[i]:
+            y[i] = c // d
+        elif c:
             return None, rank
-    return [sum(V[i][j] * y[j] for j in range(k)) for i in range(k)], rank
+    return [sum(map(mul, v, y)) for v in V], rank
 
 
-def integer_solve(rows: list[list[int]], b: list[int]) -> list[int] | None:
-    """One integer solution x of A x = b, or None if none exists."""
+def integer_solve(rows, b: list[int], smith) -> list[int] | None:
+    """One integer solution x of A x = b, or None if none exists; ``smith``
+    is A's ``smith_form``."""
     if not rows:
         return []
-    return _smith_solve(rows, b)[0]
+    return _smith_solve(b, smith)[0]
 
 
 def rational_solve(rows, b) -> tuple[str, list[Fraction] | None]:
@@ -313,14 +324,15 @@ def _borosh_treybig_cap(rows: list[list[int]], b: list[int]) -> int:
     return (n + 1) * cap
 
 
-def nonneg_integer_solve(rows: list[list[int]], b: list[int]) -> list[int] | None:
-    """Complete decision for {x in Z^n : A x = b, x >= 0}; returns a witness."""
+def nonneg_integer_solve(rows, b: list[int], smith) -> list[int] | None:
+    """Complete decision for {x in Z^n : A x = b, x >= 0}; returns a witness.
+    ``smith`` is A's ``smith_form``."""
     n = len(rows[0]) if rows else 0
     if n == 0:
         return [] if all(v == 0 for v in b) else None
     if all(v == 0 for v in b):
         return [0] * n
-    x, rank = _smith_solve(rows, b)
+    x, rank = _smith_solve(b, smith)
     if x is None:
         return None
     if rank == n:

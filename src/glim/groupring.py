@@ -28,7 +28,7 @@ from .abelian import (
     dual_and_orbits,
 )
 from .cyclotomic import CycNum, _canonical, _rational, get_field
-from .exactsolve import integer_solve, nonneg_integer_solve
+from .exactsolve import integer_solve, nonneg_integer_solve, smith_form
 
 
 def _reduced(group: FinAbGroup, num, den: int) -> "GroupRingElem":
@@ -214,6 +214,18 @@ def _character_table(group: FinAbGroup) -> dict[CharOrbit, tuple[tuple[int, ...]
     return {o: tuple(zip(*(fld.zeta(k).num for k in e))) for o, (_, _, e) in table}
 
 
+@lru_cache(maxsize=1024)
+def _character_system(group: FinAbGroup, orbits: tuple[CharOrbit, ...]):
+    """The stacked character rows of the orbits, in the given order, and
+    their ``smith_form``: one per orbit tuple of the group (projections list
+    theirs canonically), shared by every lattice and cone solve over it.
+    A group has up to 2^(number of orbits) such tuples, so the cache keeps
+    the 1024 most recently used."""
+    table = _character_table(group)
+    rows = tuple(row for o in orbits for row in table[o])
+    return rows, smith_form(rows)
+
+
 def _evaluate(z: GroupRingElem, blocks) -> tuple[CycNum, ...]:
     """sum_g c_g zeta^{k_g} for each block of exponents k: each nonzero term
     adds the sparse reduction of its power of zeta; one canonical form each."""
@@ -309,8 +321,8 @@ def _preimage(target: ProjCoords, solve) -> GroupRingElem | None:
         if v.den != 1:
             return None
         vec.extend(v.num)
-    table = _character_table(target.group)
-    sol = solve([row for o in target.orbits for row in table[o]], vec)
+    rows, smith = _character_system(target.group, target.orbits)
+    sol = solve(rows, vec, smith)
     if sol is None:
         return None
     return GroupRingElem.from_terms(target.group, enumerate(sol))

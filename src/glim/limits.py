@@ -148,7 +148,20 @@ class LimitDescriptor:
         return self.division is None or self.division.is_trivial
 
     def elementary_part(self) -> "LimitDescriptor":
+        """The descriptor without its division part: itself when it has none,
+        else one copy made on the first call."""
+        return self if self.division is None else self._elementary
+
+    # derived once, on first use, so a decision and its replay share them
+
+    @cached_property
+    def _elementary(self) -> "LimitDescriptor":
         return replace(self, division=None)
+
+    @cached_property
+    def realization(self) -> "K0Descriptor":
+        """The realized K0 datum that ``k0_realization`` returns."""
+        return _realize(self)
 
 
 def tensor_elementary(d: LimitDescriptor, c: GroupRingElem) -> LimitDescriptor:
@@ -230,9 +243,6 @@ class K0Descriptor:
     def S(self) -> frozenset[CharOrbit]:
         return frozenset(self.orbits)
 
-    def ones(self) -> ProjCoords:
-        return project(GroupRingElem.one(self.group), self.orbits)
-
     def denominators(self, budget: int):
         """Coordinates of the unrolled denominators cycle^i, i = 1..budget."""
         power = self.cycle
@@ -246,12 +256,17 @@ def k0_realization(d: LimitDescriptor) -> K0Descriptor:
     """The realized triple: coordinates of the order-unit and denominators.
 
     With a division part of support T the realization is computed over G/T
-    through the coefficient-collapsing pushforward.
+    through the coefficient-collapsing pushforward.  It is derived once per
+    descriptor (``LimitDescriptor.realization``).
     """
-    if d.division is not None and not d.division.is_trivial:
-        base = quotient_pushforward(d.elementary_part(), d.division.support)
-    else:
-        base = d.elementary_part()
+    return d.realization
+
+
+def _realize(d: LimitDescriptor) -> K0Descriptor:
+    """The body of ``k0_realization``, run once per descriptor."""
+    base = d.elementary_part()
+    if not d.is_elementary:
+        base = quotient_pushforward(base, d.division.support)
     x0, cycle_product, S, s0 = _standard(base)
     orbits = canonical_orbits(base.group, S)
     assert orbits[0].is_trivial, "the trivial orbit is always in S"
@@ -387,7 +402,7 @@ def scaling_invertible(
     missing = [o for o in k0.orbits if o not in supp_c]
     if missing:
         return TriBool.no({"kind": "support-deficit", "orbit": orbit_payload(missing[0])})
-    target = k0.ones() * project(c.bar(), k0.orbits).inverse()
+    target = project(c.bar(), k0.orbits).inverse()
     inner = in_positive_cone(k0, target, budget)
     cert = {"kind": "scaling", "scaler": elem_payload(c), "inner": inner.certificate}
     return TriBool(inner.verdict, cert)
@@ -807,7 +822,7 @@ def verify_scaling_certificate(
         return k0.orbits[_named_orbit(k0, cert)] not in supp_orbits(c)
     if payload_elem(k0.group, cert["scaler"]) != c:
         return False
-    target = k0.ones() * project(c.bar(), k0.orbits).inverse()
+    target = project(c.bar(), k0.orbits).inverse()
     return verify_cone_certificate(k0, target, verdict, cert["inner"])
 
 
@@ -900,16 +915,16 @@ def verify_general_iso_certificate(
     cls2 = d2.division or DivisionClass.trivial(d2.group)
     e_class, y, _h = brauer_mul(cls, cls2)
     de = d.elementary_part()
-    left = tensor_elementary(de, y)
-    right = tensor_elementary(d2.elementary_part(), subgroup_sum(cls2.support))
     if kind == "absorption-fails":
         return verify_absorbs_certificate(de, e_class, "no", cert["inner"])
+    if kind == "budget-exhausted":
+        return True
+    left = tensor_elementary(de, y)
+    right = tensor_elementary(d2.elementary_part(), subgroup_sum(cls2.support))
     if kind == "elementary-part":
         return verify_iso_certificate(left, right, "no", cert["inner"])
-    if kind == "general-iso":
-        return (
-            payload_elem(d.group, cert["y"]) == y
-            and verify_absorbs_certificate(de, e_class, "yes", cert["absorption"])
-            and verify_iso_certificate(left, right, "yes", cert["elementary"])
-        )
-    return kind == "budget-exhausted"
+    return (
+        payload_elem(d.group, cert["y"]) == y
+        and verify_absorbs_certificate(de, e_class, "yes", cert["absorption"])
+        and verify_iso_certificate(left, right, "yes", cert["elementary"])
+    )

@@ -376,6 +376,34 @@ def test_deeply_nested_json_is_an_error_naming_the_file(tmp_path, capsys, comman
     assert "Traceback" not in err
 
 
+# raw file contents that json.load rejects with a plain ValueError
+UNREADABLE = {
+    # more digits than Python converts to an int
+    "long-int": (
+        '{"group": [2, 2], "x0": [{"elem": [0, 0], "mult": ' + "9" * 5000 + "}], "
+        '"cycle_labels": [[{"elem": [0, 0], "mult": 2}]]}'
+    ).encode(),
+    # UTF-16 with its byte-order mark, not UTF-8
+    "utf-16": json.dumps({"group": KLEIN, **PAULI}).encode("utf-16"),
+}
+
+
+@pytest.mark.parametrize("where", ["standard-form", "absorbs", "absorbs --division"])
+@pytest.mark.parametrize("content", sorted(UNREADABLE))
+def test_unreadable_json_is_an_error_naming_the_file(files, tmp_path, capsys, where, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNREADABLE[content])
+    argv = {
+        "standard-form": ["standard-form", str(bad)],
+        "absorbs": ["absorbs", str(bad), "--division", files["pauli"]],
+        "absorbs --division": ["absorbs", files["a"], "--division", str(bad)],
+    }[where]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
+    assert "Traceback" not in err
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=2),
     lambda inner: st.lists(inner, max_size=3)

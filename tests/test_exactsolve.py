@@ -9,6 +9,7 @@ from glim.exactsolve import (
     lp_feasible,
     nonneg_integer_solve,
     rational_solve,
+    smith_form,
     smith_normal_form,
     xgcd,
 )
@@ -66,14 +67,14 @@ def test_integer_solve_roundtrip():
         A = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(m)]
         x0 = [rng.randint(-4, 4) for _ in range(k)]
         b = [sum(A[i][j] * x0[j] for j in range(k)) for i in range(m)]
-        x = integer_solve(A, b)
+        x = integer_solve(A, b, smith_form(A))
         assert x is not None
         assert [sum(A[i][j] * x[j] for j in range(k)) for i in range(m)] == b
 
 
 def test_integer_solve_detects_infeasible():
-    assert integer_solve([[2]], [1]) is None
-    assert integer_solve([[2, 4]], [3]) is None
+    assert integer_solve([[2]], [1], smith_form([[2]])) is None
+    assert integer_solve([[2, 4]], [3], smith_form([[2, 4]])) is None
 
 
 def test_rational_solve_modes():
@@ -123,7 +124,7 @@ def test_nonneg_integer_solve_against_enumeration():
     seen = set()
     for A, b in systems:
         m, k = len(A), len(A[0])
-        got = nonneg_integer_solve(A, b)
+        got = nonneg_integer_solve(A, b, smith_form(A))
         status, x = rational_solve(A, b)
         if status == "unique":
             integral = all(v.denominator == 1 for v in x)
@@ -149,7 +150,7 @@ def test_nonneg_integer_solve_against_enumeration():
 
 def test_nonneg_integer_solve_unbounded_direction():
     # x - y = t is solvable for every integer t despite the unbounded fiber
-    assert nonneg_integer_solve([[1, -1]], [-3]) == [0, 3]
-    assert nonneg_integer_solve([[1, -1]], [5]) is not None
+    assert nonneg_integer_solve([[1, -1]], [-3], smith_form([[1, -1]])) == [0, 3]
+    assert nonneg_integer_solve([[1, -1]], [5], smith_form([[1, -1]])) is not None
     # parity obstruction: x + y even-coordinates trap
-    assert nonneg_integer_solve([[2, 2]], [3]) is None
+    assert nonneg_integer_solve([[2, 2]], [3], smith_form([[2, 2]])) is None
