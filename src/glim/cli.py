@@ -11,9 +11,21 @@ import functools
 import json
 import sys
 
-from .abelian import FinAbGroup, _element_index, subgroup_basis
-from .divalg import DivisionClass, bicharacter_from_generator_data, brauer_mul, op_class
-from .groupring import GroupRingElem
+from .abelian import FinAbGroup
+from .codec import (
+    DescriptorError,
+    elem_payload,
+    load_division,
+    load_json,
+    orbit_payload,
+    parse_division,
+    parse_group,
+    parse_label,
+    parse_labels,
+    parse_object,
+    serialize_division,
+)
+from .divalg import brauer_mul, op_class
 from .limits import (
     DEFAULT_BUDGET,
     DEFAULT_PRIME_BUDGET,
@@ -21,11 +33,9 @@ from .limits import (
     TriBool,
     absorbs,
     brauer_equivalent,
-    elem_payload,
     iso_elementary,
     iso_general,
     k0_realization,
-    orbit_payload,
     standard_form,
     support_invariants,
     verify_absorbs_certificate,
@@ -34,9 +44,6 @@ from .limits import (
     verify_iso_certificate,
 )
 from . import oracle as _oracle
-
-
-MAX_GROUP_ORDER = 64  # the documented scale: subgroups are enumerated in full
 
 
 def _int_at_least(low: int):
@@ -49,145 +56,22 @@ def _int_at_least(low: int):
     return parse
 
 
-class DescriptorError(ValueError):
-    """A parse or validation error, annotated with the offending key path."""
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
-
-
-def _ints(payload, n: int, path: str) -> tuple[int, ...]:
-    """A list of exactly n integers; a float, string or bool is an error, never
-    converted."""
-    if not isinstance(payload, list) or len(payload) != n:
-        raise DescriptorError(path, f"expected a list of {n} integers")
-    for i, x in enumerate(payload):
-        if type(x) is not int:
-            raise DescriptorError(f"{path}[{i}]", "expected an integer")
-    return tuple(payload)
-
-
-def _parse_label(group: FinAbGroup, payload, path: str) -> GroupRingElem:
-    if not isinstance(payload, list) or not payload:
-        raise DescriptorError(path, "label must be a nonempty list of terms")
-    index = _element_index(group)
-    terms = []
-    for i, term in enumerate(payload):
-        tpath = f"{path}[{i}]"
-        if not isinstance(term, dict) or "elem" not in term or "mult" not in term:
-            raise DescriptorError(tpath, "term must have 'elem' and 'mult'")
-        g = group.element(_ints(term["elem"], len(group.factors), f"{tpath}.elem"))
-        mult = term["mult"]
-        if type(mult) is not int or mult <= 0:
-            raise DescriptorError(f"{tpath}.mult", "multiplicity must be a positive integer")
-        terms.append((index[g.coords], mult))
-    # nonzero: at least one term, every multiplicity positive
-    return GroupRingElem.from_terms(group, terms)
-
-
-def _parse_group(payload, path: str) -> FinAbGroup:
-    if not isinstance(payload, list) or not payload:
-        raise DescriptorError(path, "group must be a nonempty list of cyclic factors")
-    factors = _ints(payload, len(payload), path)
-    if any(d < 1 for d in factors):
-        raise DescriptorError(path, "cyclic factors must be positive integers")
-    group = FinAbGroup(factors)
-    if group.order > MAX_GROUP_ORDER:
-        raise DescriptorError(
-            path, f"group order {group.order} exceeds the supported {MAX_GROUP_ORDER}"
-        )
-    return group
-
-
-def _parse_division(group: FinAbGroup, payload, path: str) -> DivisionClass:
-    if not isinstance(payload, dict):
-        raise DescriptorError(path, "expected a JSON object")
-    for key in ("support_gens", "beta", "zeta_order"):
-        if key not in payload:
-            raise DescriptorError(path, f"missing key '{key}'")
-    gens_raw = payload["support_gens"]
-    if not isinstance(gens_raw, list):
-        raise DescriptorError(f"{path}.support_gens", "expected a list of elements")
-    gens = [
-        group.element(_ints(c, len(group.factors), f"{path}.support_gens[{i}]"))
-        for i, c in enumerate(gens_raw)
-    ]
-    zo = payload["zeta_order"]
-    if type(zo) is not int or zo < 1:
-        raise DescriptorError(f"{path}.zeta_order", "must be a positive integer")
-    beta = payload["beta"]
-    if not isinstance(beta, list) or len(beta) != len(gens):
-        raise DescriptorError(f"{path}.beta", f"expected a list of {len(gens)} rows")
-    rows = [_ints(row, len(gens), f"{path}.beta[{i}]") for i, row in enumerate(beta)]
-    try:
-        bichar = bicharacter_from_generator_data(group, gens, rows, zo)
-        return DivisionClass(bichar)
-    except (ValueError, AssertionError) as exc:
-        raise DescriptorError(f"{path}.beta", str(exc)) from exc
-
-
 def parse_descriptor(payload: dict, path: str = "descriptor") -> LimitDescriptor:
-    if not isinstance(payload, dict):
-        raise DescriptorError(path, "expected a JSON object")
-    for key in ("group", "x0", "cycle_labels"):
-        if key not in payload:
-            raise DescriptorError(path, f"missing key '{key}'")
-    group = _parse_group(payload["group"], f"{path}.group")
-    x0 = _parse_label(group, payload["x0"], f"{path}.x0")
-    prefix_raw = payload.get("prefix_labels", [])
-    if not isinstance(prefix_raw, list):
-        raise DescriptorError(f"{path}.prefix_labels", "expected a list of labels")
-    prefix = tuple(
-        _parse_label(group, lbl, f"{path}.prefix_labels[{i}]")
-        for i, lbl in enumerate(prefix_raw)
-    )
-    cycle_raw = payload["cycle_labels"]
-    if not isinstance(cycle_raw, list) or not cycle_raw:
+    parse_object(payload, ("group", "x0", "cycle_labels"), path)
+    group = parse_group(payload["group"], f"{path}.group")
+    x0 = parse_label(group, payload["x0"], f"{path}.x0")
+    prefix = parse_labels(group, payload.get("prefix_labels", []), f"{path}.prefix_labels")
+    cycle = parse_labels(group, payload["cycle_labels"], f"{path}.cycle_labels")
+    if not cycle:
         raise DescriptorError(f"{path}.cycle_labels", "at least one cycle label required")
-    cycle = tuple(
-        _parse_label(group, lbl, f"{path}.cycle_labels[{i}]")
-        for i, lbl in enumerate(cycle_raw)
-    )
     division = None
     if payload.get("division") is not None:
-        division = _parse_division(group, payload["division"], f"{path}.division")
+        division = parse_division(group, payload["division"], f"{path}.division")
     return LimitDescriptor(group, x0, prefix, cycle, division)
 
 
-def _load_json(path: str):
-    """The file's JSON; a file that is not UTF-8 JSON within Python's limits
-    (nesting depth, digits of an integer) is a ``DescriptorError`` naming it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DescriptorError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
-        except RecursionError as exc:
-            raise DescriptorError(path, "JSON nested too deeply") from exc
-        except ValueError as exc:  # not UTF-8, or an integer too long to convert
-            raise DescriptorError(path, str(exc)) from exc
-
-
 def load_descriptor(path: str) -> LimitDescriptor:
-    return parse_descriptor(_load_json(path), path)
-
-
-def load_division(path: str) -> DivisionClass:
-    payload = _load_json(path)
-    if not isinstance(payload, dict) or "group" not in payload:
-        raise DescriptorError(path, "division file needs a 'group' key")
-    group = _parse_group(payload["group"], f"{path}.group")
-    return _parse_division(group, payload, path)
-
-
-def serialize_division(d: DivisionClass) -> dict:
-    gens, _orders, _ = subgroup_basis(d.support)
-    return {
-        "support_gens": [list(g.coords) for g in gens],
-        "beta": [list(row) for row in d.bichar.matrix],
-        "zeta_order": d.group.exponent,
-    }
+    return parse_descriptor(load_json(path), path)
 
 
 def serialize_descriptor(d: LimitDescriptor) -> dict:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, isqrt
 from operator import mul
 
@@ -195,7 +195,9 @@ class DivisionClass:
         return self.support.parent
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def trivial(group: FinAbGroup) -> "DivisionClass":
+        """The trivial class, one per group, so its lift is derived once."""
         return DivisionClass(Bicharacter.trivial(Subgroup(group, ())))
 
     @property

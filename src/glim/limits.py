@@ -31,6 +31,7 @@ from .abelian import (
     dual_and_orbits,
     quotient,
 )
+from .codec import elem_payload, exact, orbit_index, orbit_payload, parse_element, parse_label
 from .cyclotomic import CycNum
 from .divalg import DivisionClass, brauer_mul
 from .groupring import (
@@ -52,7 +53,7 @@ TRIAL_DIVISION_CAP = 10**6
 
 
 # ---------------------------------------------------------------------------
-# verdicts and certificate payload helpers
+# verdicts
 
 
 @dataclass(frozen=True)
@@ -89,31 +90,6 @@ class TriBool:
     @property
     def is_certified(self) -> bool:
         return self.verdict != "unknown"
-
-
-def _mult_payload(c: Fraction) -> int | str:
-    return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def elem_payload(z: GroupRingElem) -> list[dict]:
-    return [{"elem": list(g.coords), "mult": _mult_payload(c)} for g, c in z.coeffs]
-
-
-def payload_elem(group: FinAbGroup, payload) -> GroupRingElem:
-    """The group-ring element a certificate's label names.  A term's ``elem``
-    must be a list of ints and its ``mult`` exactly what ``elem_payload``
-    writes, an ``int`` or a ``"p/q"`` string; anything else raises."""
-    terms = []
-    for item in payload:
-        m = item["mult"]
-        if type(m) not in (int, str) or _mult_payload(q := Fraction(m)) != m:
-            raise ValueError(f"multiplicity {m!r} is not an int or a 'p/q' string")
-        terms.append(GroupRingElem.from_dict(group, {group.element(item["elem"]): q}))
-    return sum(terms, GroupRingElem.zero(group))
-
-
-def orbit_payload(o: CharOrbit) -> dict:
-    return {"rep": list(o.representative.exponents), "size": o.field_degree}
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +135,27 @@ class LimitDescriptor:
         return replace(self, division=None)
 
     @cached_property
+    def _tensors(self) -> dict[GroupRingElem, "LimitDescriptor"]:
+        """``tensor_elementary(self, c)`` by the factor c."""
+        return {}
+
+    @cached_property
     def realization(self) -> "K0Descriptor":
         """The realized K0 datum that ``k0_realization`` returns."""
         return _realize(self)
 
 
 def tensor_elementary(d: LimitDescriptor, c: GroupRingElem) -> LimitDescriptor:
-    """Tensor with one more matrix factor: x0 becomes c*x0, labels unchanged."""
+    """Tensor with one more matrix factor: x0 becomes c*x0, labels unchanged.
+    Made once per factor and kept on ``d``, so a decision and its replay
+    realize the same tensor."""
     if c.is_zero:
         raise ValueError("matrix factor must be nonzero")
     if not c.is_nonneg_integer:
         raise ValueError("matrix factor must have nonnegative integer coefficients")
-    return replace(d, x0=c * d.x0)
+    if c not in d._tensors:
+        d._tensors[c] = replace(d, x0=c * d.x0)
+    return d._tensors[c]
 
 
 def quotient_pushforward(d: LimitDescriptor, sub: Subgroup) -> LimitDescriptor:
@@ -668,6 +653,15 @@ def _primes_up_to(bound: int) -> list[int]:
     return out
 
 
+def _general_operands(d: LimitDescriptor, d2: LimitDescriptor):
+    """(E, y, left, right) for ``iso_general``: D (x) D'^op = M_y(E), and the
+    elementary parts it compares, d's tensored with y and d2's with x_{T'}."""
+    cls2 = d2.division or DivisionClass.trivial(d2.group)
+    e_class, y, _h = brauer_mul(d.division or DivisionClass.trivial(d.group), cls2)
+    left = tensor_elementary(d.elementary_part(), y)
+    return e_class, y, left, tensor_elementary(d2.elementary_part(), subgroup_sum(cls2.support))
+
+
 def iso_general(
     d: LimitDescriptor,
     d2: LimitDescriptor,
@@ -682,18 +676,11 @@ def iso_general(
     """
     if d.group != d2.group:
         raise ValueError("descriptors over different groups")
-    cls = d.division or DivisionClass.trivial(d.group)
-    cls2 = d2.division or DivisionClass.trivial(d2.group)
-    e_class, y, _h = brauer_mul(cls, cls2)
+    e_class, y, left, right = _general_operands(d, d2)
     part1 = absorbs(d.elementary_part(), e_class, budget)
     if part1.is_no:
         return TriBool.no({"kind": "absorption-fails", "inner": part1.certificate})
-    part2 = iso_elementary(
-        tensor_elementary(d.elementary_part(), y),
-        tensor_elementary(d2.elementary_part(), subgroup_sum(cls2.support)),
-        budget,
-        prime_budget,
-    )
+    part2 = iso_elementary(left, right, budget, prime_budget)
     if part2.is_no:
         return TriBool.no({"kind": "elementary-part", "inner": part2.certificate})
     if part1.is_yes and part2.is_yes:
@@ -724,7 +711,7 @@ def iso_general(
 # raises; a certificate of a kind outside its table, one certifying a verdict
 # its kind may not certify, and a malformed one (a missing key, a field of
 # the wrong type) replay False.  Every field that replay reads is read
-# exactly: an int field must be an ``int``, never a bool, float or string.
+# through ``glim.codec``, whose ``DescriptorError`` names the field.
 
 _YES, _NO, _UNKNOWN = ("yes",), ("no",), ("unknown",)
 _ANY = _YES + _NO + _UNKNOWN
@@ -747,22 +734,6 @@ def _replay(kinds: dict[str, tuple[str, ...]]):
     return decorate
 
 
-def _exact(x, typ: type):
-    """``x`` itself when its type is exactly ``typ`` (so a bool is no int)."""
-    if type(x) is not typ:
-        raise TypeError(f"expected {typ.__name__}, got {x!r}")
-    return x
-
-
-def _named_orbit(k0: K0Descriptor, cert: dict) -> int:
-    """The index in ``k0.orbits`` of the orbit whose representative's
-    exponents equal the certificate's ``rep``, a list of ints."""
-    rep = cert["orbit"]["rep"]
-    for x in rep:
-        _exact(x, int)
-    return [list(o.representative.exponents) for o in k0.orbits].index(rep)
-
-
 _MEMBER = {"member-witness": _YES, "norm-obstruction": _NO, "budget-exhausted": _UNKNOWN}
 
 
@@ -773,16 +744,16 @@ def verify_member_certificate(
     """Replay a certificate of membership in the realized K group."""
     kind = cert["kind"]
     if kind == "member-witness":
-        w = payload_elem(k0.group, cert["witness"])
-        if not (w.is_nonneg_integer if _exact(cert["cone"], bool) else w.is_integer):
+        w = parse_label(k0.group, cert["witness"], "witness", certificate=True)
+        if not (w.is_nonneg_integer if exact(cert["cone"], bool, "cone") else w.is_integer):
             return False
-        index = _exact(cert["index"], int)
+        index = exact(cert["index"], int, "index")
         return index >= 1 and project(w, k0.orbits) == z * k0.cycle**index
     if kind == "norm-obstruction":
         # any p >= 2 prime to the cycle norm and dividing the value's norm
         # denominator has a prime factor that no denominator can clear
-        p = _exact(cert["prime"], int)
-        idx = _named_orbit(k0, cert)
+        p = exact(cert["prime"], int, "prime")
+        idx = orbit_index(k0.orbits, cert["orbit"], "orbit")
         val = z.values[idx]
         cyc_norm = k0.cycle.values[idx].norm_to_q()
         return (
@@ -810,7 +781,7 @@ def verify_cone_certificate(
         return trivial.is_rational and trivial.as_rational() == 0 and not z.is_zero
     if kind == "irrational-trivial-coordinate":
         return not trivial.is_rational
-    cone_witness = verdict != "yes" or cert["cone"] is True
+    cone_witness = verdict != "yes" or exact(cert["cone"], bool, "cone")
     return cone_witness and verify_member_certificate(k0, z, verdict, cert)
 
 
@@ -819,8 +790,8 @@ def verify_scaling_certificate(
     k0: K0Descriptor, c: GroupRingElem, verdict: str, cert: dict
 ) -> bool:
     if cert["kind"] == "support-deficit":
-        return k0.orbits[_named_orbit(k0, cert)] not in supp_orbits(c)
-    if payload_elem(k0.group, cert["scaler"]) != c:
+        return k0.orbits[orbit_index(k0.orbits, cert["orbit"], "orbit")] not in supp_orbits(c)
+    if parse_label(k0.group, cert["scaler"], "scaler", certificate=True) != c:
         return False
     target = project(c.bar(), k0.orbits).inverse()
     return verify_cone_certificate(k0, target, verdict, cert["inner"])
@@ -844,10 +815,10 @@ def verify_absorbs_k0_certificate(
 ) -> bool:
     order = d_class.support.order
     if cert["kind"] == "support-obstruction":
-        t = k0.group.element(cert["element"])
-        orbit = k0.orbits[_named_orbit(k0, cert)]
+        t = parse_element(k0.group, cert["element"], "element")
+        orbit = k0.orbits[orbit_index(k0.orbits, cert["orbit"], "orbit")]
         return t in d_class.support and orbit.representative.value_exponent(t) != 0
-    if _exact(cert["support_order"], int) != order:
+    if exact(cert["support_order"], int, "support_order") != order:
         return False
     scaler = GroupRingElem.constant(k0.group, order)
     return verify_scaling_certificate(k0, scaler, verdict, cert["inner"])
@@ -872,7 +843,7 @@ def verify_iso_certificate(
     if kind == "finite-type-no-shift":
         return finite_a and finite_b and _shift_between(k0a.x0_bar, k0b.x0_bar) is None
     if kind == "prime-separation":
-        scaler = GroupRingElem.constant(d.group, _exact(cert["prime"], int))
+        scaler = GroupRingElem.constant(d.group, exact(cert["prime"], int, "prime"))
         left, right = cert["left_verdict"], cert["right_verdict"]
         return (
             {left, right} == {"yes", "no"}
@@ -880,8 +851,8 @@ def verify_iso_certificate(
             and verify_scaling_certificate(k0b, scaler, right, cert["right"])
         )
     if kind == "iso-witness":
-        b = payload_elem(d.group, cert["b"])
-        b2 = payload_elem(d.group, cert["b_prime"])
+        b = parse_label(d.group, cert["b"], "b", certificate=True)
+        b2 = parse_label(d.group, cert["b_prime"], "b_prime", certificate=True)
         if not (b.is_nonneg_integer and b2.is_nonneg_integer) or k0a.orbits != k0b.orbits:
             return False
         same_support = supp_orbits(b) == supp_orbits(b2) == k0a.S
@@ -895,8 +866,9 @@ def verify_iso_certificate(
         ):
             if not verify_cone_certificate(k_src, ratio, "yes", cert["base_" + way]):
                 return False
-            delta = _exact(cert["cycle_" + way]["delta"], int)
-            u = payload_elem(d.group, cert["cycle_" + way]["witness"])
+            cycle = cert["cycle_" + way]
+            delta = exact(cycle["delta"], int, f"cycle_{way}.delta")
+            u = parse_label(d.group, cycle["witness"], f"cycle_{way}.witness", certificate=True)
             if delta < 1 or not u.is_nonneg_integer:
                 return False
             if k_other.cycle * project(u, k_src.orbits) != k_src.cycle**delta:
@@ -911,20 +883,16 @@ def verify_general_iso_certificate(
     d: LimitDescriptor, d2: LimitDescriptor, verdict: str, cert: dict
 ) -> bool:
     kind = cert["kind"]
-    cls = d.division or DivisionClass.trivial(d.group)
-    cls2 = d2.division or DivisionClass.trivial(d2.group)
-    e_class, y, _h = brauer_mul(cls, cls2)
+    e_class, y, left, right = _general_operands(d, d2)
     de = d.elementary_part()
     if kind == "absorption-fails":
         return verify_absorbs_certificate(de, e_class, "no", cert["inner"])
     if kind == "budget-exhausted":
         return True
-    left = tensor_elementary(de, y)
-    right = tensor_elementary(d2.elementary_part(), subgroup_sum(cls2.support))
     if kind == "elementary-part":
         return verify_iso_certificate(left, right, "no", cert["inner"])
     return (
-        payload_elem(d.group, cert["y"]) == y
+        parse_label(d.group, cert["y"], "y", certificate=True) == y
         and verify_absorbs_certificate(de, e_class, "yes", cert["absorption"])
         and verify_iso_certificate(left, right, "yes", cert["elementary"])
     )

@@ -351,6 +351,15 @@ MALFORMED = [
      [{"group": [4, 4], "support_gens": [[1, 0], [0, 1]],
        "beta": [[0, 1.5], [-1.5, 0]], "zeta_order": 4}],
      ".beta[0][1]"),
+    # one past each size bound
+    (["standard-form"], [{**DESCRIPTOR, "x0": [{"elem": [0, 0], "mult": 2**32}]}],
+     ".x0[0].mult"),
+    (["standard-form"], [{**DESCRIPTOR, "x0": TWO * 65}], ".x0"),
+    (["standard-form"], [{**DESCRIPTOR, "prefix_labels": [TWO] * 65}], ".prefix_labels"),
+    (["standard-form"], [{**DESCRIPTOR, "cycle_labels": [TWO] * 65}], ".cycle_labels"),
+    (["standard-form"], [{"group": [1] * 65, "x0": [{"elem": [0] * 65, "mult": 1}],
+                          "cycle_labels": [[{"elem": [0] * 65, "mult": 2}]]}], ".group"),
+    (["brauer", "inv"], [{**DIVISION, "support_gens": [[1, 0]] * 65}], ".support_gens"),
 ]
 
 
@@ -364,6 +373,15 @@ def test_malformed_input_is_an_error_naming_its_key(tmp_path, capsys, command, p
     err = capsys.readouterr().err
     assert f"{key}: " in err
     assert "Traceback" not in err
+
+
+def test_labels_at_the_size_bounds_parse(tmp_path, capsys):
+    one = [{"elem": [0, 0], "mult": 1}]
+    edge = write(tmp_path, "edge.json", {
+        "group": KLEIN, "x0": [{"elem": [0, 0], "mult": 2**32 - 1}] + one * 63,
+        "prefix_labels": [one] * 64, "cycle_labels": [one] * 64,
+    })
+    assert main(["standard-form", edge]) == 0
 
 
 @pytest.mark.parametrize("command", [["standard-form"], ["brauer", "inv"]])

@@ -1,9 +1,11 @@
 """Each immutable input derives its data once: a descriptor its elementary
-part and realization; a division class its Brauer lift; a character system
-its Smith form.  The caches must not change an answer."""
+part, its realization and its tensors with matrix factors; a division class
+its Brauer lift, and a group its trivial class; a character system its Smith
+form.  The caches must not change an answer."""
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from glim import divalg, limits
@@ -54,6 +56,36 @@ def test_division_class_lifts_once(count_calls, pauli):
     twin = DivisionClass(pauli.bichar)  # equal, but a new instance
     assert twin.lift == pauli.lift
     assert calls[0] == 2
+
+
+def test_trivial_class_is_built_and_lifted_once(monkeypatch, klein, x_t, pauli):
+    """The side without a division part reads one trivial class per group,
+    so a decision and its replay lift it at most once."""
+    lifted = []
+    lift = divalg.brauer_lift
+    monkeypatch.setattr(divalg, "brauer_lift", lambda d: lifted.append(d) or lift(d))
+    with_pauli = LimitDescriptor(klein, x_t, (), (x_t,), pauli)
+    plain = LimitDescriptor(klein, x_t, (), (x_t,))
+    result = limits.iso_general(with_pauli, plain)
+    assert result.certificate["kind"] == "general-iso"
+    assert limits.verify_general_iso_certificate(with_pauli, plain, "yes", result.certificate)
+    assert len([d for d in lifted if d.is_trivial]) <= 1
+    assert DivisionClass.trivial(klein) is DivisionClass.trivial(klein)
+
+
+@pytest.mark.parametrize("kind", ["general-iso", "elementary-part"])
+def test_general_iso_realizes_each_operand_once(count_calls, klein, x_t, pauli, kind):
+    """The decision realizes the elementary part and the two tensor operands;
+    the replay realizes nothing again."""
+    calls = count_calls(limits, "_realize")
+    d = LimitDescriptor(klein, x_t, (), (x_t,), DivisionClass(pauli.bichar))
+    x0 = x_t if kind == "general-iso" else const(klein, 4)
+    d2 = LimitDescriptor(klein, x0, (), (x0,))
+    result = limits.iso_general(d, d2)
+    assert result.certificate["kind"] == kind
+    assert calls[0] == 3
+    assert limits.verify_general_iso_certificate(d, d2, result.verdict, result.certificate)
+    assert calls[0] == 3
 
 
 def test_cli_iso_realizes_each_descriptor_once(count_calls, tmp_path, capsys):
