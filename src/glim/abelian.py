@@ -57,7 +57,9 @@ class FinAbGroup:
         return GroupElem(self, tuple(x % d for x, d in zip(coords, self.factors)))
 
     def elements(self) -> list["GroupElem"]:
-        return [GroupElem(self, c) for c in itertools.product(*map(range, self.factors))]
+        """Every element in coordinate order (mixed radix, the last factor
+        fastest): a copy of one tuple built once per group."""
+        return list(_elements(self))
 
     def __repr__(self) -> str:
         return "Z" + "x".join(f"{d}" for d in self.factors)
@@ -65,6 +67,11 @@ class FinAbGroup:
 
 def group_new(factors) -> FinAbGroup:
     return FinAbGroup(tuple(factors))
+
+
+@lru_cache(maxsize=None)
+def _elements(group: FinAbGroup) -> tuple["GroupElem", ...]:
+    return tuple(GroupElem(group, c) for c in itertools.product(*map(range, group.factors)))
 
 
 @dataclass(frozen=True)
@@ -153,24 +160,29 @@ class Subgroup:
 def generator_words(group: FinAbGroup, gens) -> dict[GroupElem, tuple[int, ...]]:
     """Every element of the span of ``gens``, with the first exponent word
     (one nonnegative exponent per generator) a breadth-first search over the
-    generators reaches it by."""
+    generators reaches it by.  The search runs on element indices through
+    the addition table; only the result is keyed by ``GroupElem``."""
     gens = tuple(gens)
     for g in gens:
         if g.group != group:
             raise ValueError("generator belongs to a different group")
-    words = {group.identity: (0,) * len(gens)}
-    frontier = [group.identity]
+    index = _element_index(group)
+    steps = [index[group.element(g.coords).coords] for g in gens]
+    add = _addition_table(group)
+    words = {0: (0,) * len(gens)}
+    frontier = [0]
     while frontier:
         nxt = []
         for x in frontier:
-            w = words[x]
-            for i, g in enumerate(gens):
-                y = x * g
+            w, row = words[x], add[x]
+            for i, s in enumerate(steps):
+                y = row[s]
                 if y not in words:
                     words[y] = w[:i] + (w[i] + 1,) + w[i + 1 :]
                     nxt.append(y)
         frontier = nxt
-    return words
+    elems = _elements(group)
+    return {elems[x]: w for x, w in words.items()}
 
 
 def _relation_rows(group: FinAbGroup, elements) -> list[list[int]]:
@@ -313,23 +325,27 @@ def _solve_row_upper(B: list[list[int]], target: list[int]) -> list[int]:
     return x
 
 
-def quotient(group: FinAbGroup, sub: Subgroup) -> tuple[FinAbGroup, dict[GroupElem, GroupElem]]:
+@lru_cache(maxsize=None)
+def quotient(group: FinAbGroup, sub: Subgroup) -> tuple[FinAbGroup, tuple[int, ...]]:
     """G/T in Smith-normalized cyclic-factor form, and the projection
-    G -> G/T as a table: the image of every element of G."""
+    G -> G/T as a table: ``image[i]`` is the index in ``target.elements()``
+    of the image of the i-th element of G.  Derived once per subgroup."""
     if sub.parent != group:
         raise ValueError("subgroup belongs to a different group")
     S, _U, V = smith_normal_form(hermite_basis(_relation_rows(group, sub.elements)))
     kept = [j for j in range(len(group.factors)) if S[j][j] > 1]
     target = FinAbGroup(tuple(S[j][j] for j in kept) or (1,))
-    alpha = {
-        g: target.element(
-            tuple(sum(c * V[i][j] for i, c in enumerate(g.coords)) for j in kept)
+    index = _element_index(target)
+    image = tuple(
+        index[
+            tuple(sum(c * V[i][j] for i, c in enumerate(g.coords)) % S[j][j] for j in kept)
             or (0,)
-        )
-        for g in group.elements()
-    }
-    assert all(alpha[t].is_identity for t in sub.elements), "projection must kill the subgroup"
-    return target, alpha
+        ]
+        for g in _elements(group)
+    )
+    source = _element_index(group)
+    assert not any(image[source[t.coords]] for t in sub.elements), "projection must kill T"
+    return target, image
 
 
 @dataclass(frozen=True)

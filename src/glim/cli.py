@@ -101,8 +101,13 @@ def cmd_standard_form(args) -> int:
     d = load_descriptor(args.file)
     sf = standard_form(d)
     s, s0 = support_invariants(d)
+    out = serialize_descriptor(sf)
+    # x0 and the cycle label are products of stated labels, so they can pass
+    # the input bounds: what does not read back is refused, not printed
+    parse_label(sf.group, out["x0"], "output.descriptor.x0")
+    parse_labels(sf.group, out["cycle_labels"], "output.descriptor.cycle_labels")
     payload = {
-        "descriptor": serialize_descriptor(sf),
+        "descriptor": out,
         "S": [orbit_payload(o) for o in sorted(s, key=lambda o: o.sort_key())],
         "S0": [orbit_payload(o) for o in sorted(s0, key=lambda o: o.sort_key())],
     }

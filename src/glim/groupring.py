@@ -184,12 +184,10 @@ def subgroup_sum(sub: Subgroup) -> GroupRingElem:
     return GroupRingElem.from_terms(sub.parent, ((index[g.coords], 1) for g in sub.elements))
 
 
-def pushforward(z: GroupRingElem, target: FinAbGroup, alpha) -> GroupRingElem:
+def pushforward(z: GroupRingElem, target: FinAbGroup, image) -> GroupRingElem:
     """The image of z under a homomorphism onto target, given as the table of
-    every element's image (as ``abelian.quotient`` returns G -> G/T): each
-    fibre's coefficients add."""
-    index = _element_index(target)
-    image = [index[alpha[g].coords] for g in z.group.elements()]
+    every element's image index (as ``abelian.quotient`` returns G -> G/T):
+    each fibre's coefficients add."""
     return GroupRingElem.from_terms(target, zip(image, z.num), z.den)
 
 

@@ -162,8 +162,8 @@ def quotient_pushforward(d: LimitDescriptor, sub: Subgroup) -> LimitDescriptor:
     """Push a descriptor through G -> G/T, adding coefficients inside cosets."""
     if d.division is not None:
         raise ValueError("pushforward is defined on elementary descriptors")
-    target, alpha = quotient(d.group, sub)
-    push = functools.partial(pushforward, target=target, alpha=alpha)
+    target, image = quotient(d.group, sub)
+    push = functools.partial(pushforward, target=target, image=image)
     prefix, cycle = tuple(map(push, d.prefix)), tuple(map(push, d.cycle))
     return LimitDescriptor(target, push(d.x0), prefix, cycle)
 

@@ -452,13 +452,17 @@ def opposite(a: FiniteGradedAlgebra) -> FiniteGradedAlgebra:
 
 def center_dimension(a: FiniteGradedAlgebra) -> int:
     """Dimension of the center, via commutation with the stored generators."""
-    # unknowns: coefficients z_k; constraints: z*g - g*z = 0 per generator
+    # unknowns: coefficients z_k; constraints: z*g - g*z = 0 per generator,
+    # where e_k*g is a row product and g*e_k reads column k of g's rows
     rows: dict = {}
     for gi, gvec in enumerate(a.generators):
+        neg = [(a._rows[i], -c) for i, c in gvec.items()]
         for k in range(a.dim):
-            e_k = {k: a.field.one}
-            diff = a.mul(e_k, gvec)
-            _vec_add_scaled(diff, a.mul(gvec, e_k), -a.field.one)
+            diff = a.mul_basis(k, gvec)
+            for row, c in neg:
+                cell = row.get(k)
+                if cell:
+                    a._add_term(diff, *cell, c)
             for out, c in diff.items():
                 rows.setdefault((gi, out), {})[k] = c
     ech = _Echelon()
@@ -754,13 +758,15 @@ class WedderburnInvariant:
 def normalize_coset_multiset(counts: GroupRingElem) -> tuple:
     """Canonical representative of an integer multiset over a group modulo
     shift: the least of its translates' (coords, count) pairs, listed in
-    coordinate order."""
+    coordinate order.  Row h of the addition table is the translate by the
+    inverse of element h, so the rows give every translate once."""
     if not counts.is_integer:
         raise ValueError("a coset multiset has integer counts")
-    elems = counts.group.elements()
+    coords = [g.coords for g in counts.group.elements()]
+    num = counts.num
     return min(
-        tuple((elems[i].coords, c) for i, c in enumerate(shifted.num) if c)
-        for shifted in map(counts.translate, elems)
+        tuple((coords[i], num[k]) for i, k in enumerate(row) if num[k])
+        for row in _addition_table(counts.group)
     )
 
 
@@ -797,9 +803,9 @@ def graded_simple_decompose(a: FiniteGradedAlgebra) -> WedderburnInvariant:
     # V is free over the graded-division endo algebra, whose components on T
     # are one-dimensional (every W block is): a basis vector of degree d spans
     # one dimension in each degree of dT, so a coset holds |T| per basis vector
-    qgroup, alpha = quotient(a.group, sub)
+    qgroup, image = quotient(a.group, sub)
     dims = GroupRingElem.from_terms(a.group, ((d, b.dim) for d, b in mod.blocks.items()))
-    counts = pushforward(dims, qgroup, alpha).scale(Fraction(1, sub.order))
+    counts = pushforward(dims, qgroup, image).scale(Fraction(1, sub.order))
     if not counts.is_integer:
         raise RuntimeError("coset dimension off |T|")
     if a.dim != counts.size() ** 2 * sub.order:
@@ -826,11 +832,11 @@ def expected_tensor_invariant(
 ) -> WedderburnInvariant:
     """The invariant of D1 (x) D2^op predicted by the Brauer arithmetic."""
     e_class, y, _h = brauer_mul(d1, d2)
-    qgroup, alpha = quotient(d1.group, e_class.support)
+    qgroup, image = quotient(d1.group, e_class.support)
     return WedderburnInvariant(
         support=e_class.support,
         bichar=e_class.bichar,
-        coset_multiset=normalize_coset_multiset(pushforward(y, qgroup, alpha)),
+        coset_multiset=normalize_coset_multiset(pushforward(y, qgroup, image)),
         quotient_factors=qgroup.factors,
     )
 

@@ -16,6 +16,7 @@ from math import isqrt
 
 import pytest
 
+from glim import abelian
 from glim.abelian import (
     Character,
     GroupElem,
@@ -164,12 +165,15 @@ def test_cli_brauer_mul_prints_the_reference_payload(factors, tmp_path, capsys):
         assert json.loads(capsys.readouterr().out) == want
 
 
-def test_subgroup_check_makes_a_linear_number_of_products(count_calls):
+def test_subgroup_check_is_one_index_span_search(count_calls):
+    """The member check is one span search over the Hermite generators, on
+    element indices through the addition table, and no closure re-check."""
     group = group_new([8, 8])
     members = frozenset(group.elements())
+    searches = count_calls(abelian, "generator_words")
     products = count_calls(GroupElem, "__mul__")
     subgroup_from_members(group, members)
-    assert 0 < products[0] <= 3 * group.order
+    assert searches == [1] and products == [0]
 
 
 def test_brauer_mul_builds_the_pairing_rows_of_the_product_class_only(count_calls):

@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glim import cli
-from glim.cli import main
+from glim.cli import main, parse_descriptor
+from glim.codec import MAX_MULT
 
 KLEIN = [2, 2]
 PAULI = {
@@ -98,6 +101,54 @@ def test_standard_form_idempotent(files, capsys, tmp_path):
     code, out2 = run(capsys, "standard-form", again, "--json")
     assert code == 0
     assert json.loads(out2)["descriptor"] == canon
+
+
+def test_standard_form_refuses_output_that_would_not_read_back(tmp_path, capsys):
+    """x0 2,000,000 with a prefix label of 3,000,000 has the standard-form x0
+    6*10^12, past the multiplicity bound: printing it would give a descriptor
+    that the CLI refuses, so standard-form exits 2 naming the output field."""
+    cycle = [[{"elem": [0], "mult": 2}]]
+    stated = write(tmp_path, "stated.json", {
+        "group": [2], "x0": [{"elem": [0], "mult": 2_000_000}],
+        "prefix_labels": [[{"elem": [0], "mult": 3_000_000}]], "cycle_labels": cycle,
+    })
+    assert main(["standard-form", stated, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "output.descriptor.x0[0].mult" in captured.err
+    # the descriptor it would have printed is refused at x0[0].mult
+    printed = write(tmp_path, "printed.json", {
+        "group": [2], "x0": [{"elem": [0], "mult": 6 * 10**12}],
+        "prefix_labels": [], "cycle_labels": cycle,
+    })
+    assert main(["standard-form", printed, "--json"]) == 2
+    assert f"{printed}.x0[0].mult" in capsys.readouterr().err
+
+
+def test_standard_form_output_reads_back(tmp_path, capsys):
+    """Fixed-seed descriptors with multiplicities up to the bound: every
+    output of an exit-0 run parses back, and some runs are refused."""
+    rng = random.Random(24)
+    mults = [1, 2, 3, 2**16, 2**20, 2**31, MAX_MULT - 1]
+    codes = []
+    for n in range(60):
+        factors = rng.choice([[2], [4], [2, 2], [3, 3], [4, 2]])
+        elems = [list(c) for c in itertools.product(*map(range, factors))]
+
+        def label():
+            terms = rng.sample(elems, rng.randint(1, 2))
+            return [{"elem": e, "mult": rng.choice(mults)} for e in terms]
+
+        path = write(tmp_path, f"d{n}.json", {
+            "group": factors, "x0": label(),
+            "prefix_labels": [label() for _ in range(rng.randint(0, 2))],
+            "cycle_labels": [label() for _ in range(rng.randint(1, 2))],
+        })
+        code, out = run(capsys, "standard-form", path, "--json")
+        codes.append(code)
+        if code == 0:
+            parse_descriptor(json.loads(out)["descriptor"])
+    assert set(codes) == {0, 2}
 
 
 def test_standard_form_rejects_zero_label(tmp_path, capsys):
@@ -381,7 +432,13 @@ def test_labels_at_the_size_bounds_parse(tmp_path, capsys):
         "group": KLEIN, "x0": [{"elem": [0, 0], "mult": 2**32 - 1}] + one * 63,
         "prefix_labels": [one] * 64, "cycle_labels": [one] * 64,
     })
-    assert main(["standard-form", edge]) == 0
+    d = cli.load_descriptor(edge)
+    assert len(d.prefix) == len(d.cycle) == 64
+    # the 64 terms at the identity add up past the bound, so standard-form,
+    # which prints the summed x0, refuses its output
+    assert d.x0.num[0] == 2**32 + 62
+    assert main(["standard-form", edge]) == 2
+    assert "output.descriptor.x0[0].mult" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["standard-form"], ["brauer", "inv"]])

@@ -24,6 +24,7 @@ from conftest import (
     random_descriptor,
     random_label,
 )
+from test_derive_once import DECIDE_MIXED_GROUPS
 
 
 def test_shifted_descriptors_are_isomorphic():
@@ -209,3 +210,51 @@ def test_tensor_with_a_matrix_factor_respects_presentation():
                 assert r.verdict != "no", (a, pa, m)
                 verdicts.append(r.verdict)
     assert len(verdicts) == 48 and verdicts.count("yes") >= 40  # 48 at this seed
+
+
+def test_iso_yes_is_transitive():
+    # transitivity: when iso(a, b) and iso(b, c) are both `yes`, iso(a, c) is
+    # never `no`.  b is a re-presentation of a or a (x) m, and c a
+    # re-presentation of b.  Triples that end `unknown` anywhere stay in the
+    # draw.  Groups and budgets are those of the decide-mixed corpus.
+    rng = random.Random(22)
+    chained = 0
+    for factors in DECIDE_MIXED_GROUPS:
+        g = group_new(factors)
+        for i in range(4):
+            a = random_descriptor(rng, g)
+            if i % 2:
+                b = tensor_elementary(a, random_label(rng, g))
+            else:
+                b = equivalent_presentation(rng, a, rng.choice(PRESENTATION_TRANSFORMS))
+            c = equivalent_presentation(rng, b, rng.choice(PRESENTATION_TRANSFORMS))
+            ab, bc, ac = (iso_elementary(x, y, 8, 7).verdict for x, y in ((a, b), (b, c), (a, c)))
+            if ab == bc == "yes":
+                assert ac != "no", (a, b, c)
+                chained += 1
+    assert chained >= 12  # 15 of the 24 triples at this seed
+
+
+def test_absorbs_agrees_on_isomorphic_limits():
+    # absorption is a property of the limit: when a and b are certified
+    # isomorphic, absorbs(a, D) and absorbs(b, D) never certify opposite
+    # verdicts.  b runs over the four re-presentations of a, its standard
+    # form and a (x) m; D is a random division class.  Draws that end
+    # `unknown` stay in.  Groups and budgets are those of the decide-mixed
+    # corpus.
+    rng = random.Random(23)
+    compared = 0
+    for factors in DECIDE_MIXED_GROUPS:
+        g = group_new(factors)
+        classes = enumerate_division_classes(g)
+        a = random_descriptor(rng, g)
+        twins = [equivalent_presentation(rng, a, t) for t in PRESENTATION_TRANSFORMS]
+        twins += [standard_form(a), tensor_elementary(a, random_label(rng, g))]
+        for b in twins:
+            if iso_elementary(a, b, 8, 7).verdict != "yes":
+                continue
+            cls = rng.choice(classes)
+            verdicts = {absorbs(a, cls, 8).verdict, absorbs(b, cls, 8).verdict}
+            assert verdicts != {"yes", "no"}, (a, b, cls)
+            compared += "unknown" not in verdicts
+    assert compared >= 24  # 31 of the 36 pairs are `yes`, all 31 certified both ways
