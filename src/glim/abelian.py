@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from .exactsolve import hermite_basis, smith_normal_form
+from .exactsolve import hermite_basis, integer_solve, smith_form, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -281,9 +281,12 @@ def subgroup_basis(sub: Subgroup):
     rows = _relation_rows(G, sub.elements)
     B = hermite_basis(rows)
     assert len(B) == k, "subgroup lattice must have full rank"
-    # W = D * B^{-1} over Z for D = diag(d_i), the last k relation rows;
-    # rows of W span the kernel of Z^k -> sub, v -> v*B
-    W = [_solve_row_upper(B, row) for row in rows[-k:]]
+    # W = D * B^{-1} over Z for D = diag(d_i), the last k relation rows, one
+    # solve of B^T w = d_i e_i each (unique: B is square of full rank); rows
+    # of W span the kernel of Z^k -> sub, v -> v*B
+    Bt = [list(col) for col in zip(*B)]
+    smith = smith_form(Bt)
+    W = [integer_solve(Bt, row, smith) for row in rows[-k:]]
     # U W V = S and W = D B^-1 give U D = S V^-1 B: the rows of V^-1 B, read
     # off U D, with S_ii > 1 are independent generators of orders S_ii
     S, U, _V = smith_normal_form(W)
@@ -303,26 +306,6 @@ def subgroup_basis(sub: Subgroup):
     coords = generator_words(G, gens)
     assert len(coords) == sub.order, "basis does not enumerate the subgroup"
     return tuple(gens), tuple(orders), coords
-
-
-def _solve_row_upper(B: list[list[int]], target: list[int]) -> list[int]:
-    """Solve x * B = target for integer x, with B an upper-triangular basis.
-
-    Row j of B has its pivot in column j, so coordinates are forced from the
-    leftmost column onward.
-    """
-    k = len(B)
-    x = [0] * k
-    rem = list(target)
-    for j in range(k):
-        piv = B[j][j]
-        assert rem[j] % piv == 0, "target not in lattice"
-        x[j] = rem[j] // piv
-        if x[j]:
-            for t in range(k):
-                rem[t] -= x[j] * B[j][t]
-    assert all(v == 0 for v in rem)
-    return x
 
 
 @lru_cache(maxsize=None)

@@ -103,8 +103,9 @@ def _certificate_mult(m, path: str) -> int | Fraction:
 
 def parse_label(group: FinAbGroup, payload, path: str, certificate: bool = False) -> GroupRingElem:
     """The sum of a list of ``{"elem", "mult"}`` terms.  A descriptor label is
-    nonempty, each mult a positive int below ``MAX_MULT``; a certificate label
-    may be empty, and its mults are anything ``elem_payload`` writes."""
+    nonempty, each mult and each coefficient of the sum a positive int below
+    ``MAX_MULT``; a certificate label may be empty, and its mults are anything
+    ``elem_payload`` writes."""
     if not (_parse_list(payload, "terms", path) or certificate):
         raise DescriptorError(path, "label must be a nonempty list of terms")
     index = _element_index(group)
@@ -116,9 +117,12 @@ def parse_label(group: FinAbGroup, payload, path: str, certificate: bool = False
         g = parse_element(group, term["elem"], f"{tpath}.elem")
         terms.append((index[g.coords], mult(term["mult"], f"{tpath}.mult")))
     den = lcm(*(m.denominator for _, m in terms))
-    return GroupRingElem.from_terms(
+    x = GroupRingElem.from_terms(
         group, [(i, m.numerator * (den // m.denominator)) for i, m in terms], den
     )
+    if not certificate and max(x.num) >= MAX_MULT:
+        raise DescriptorError(path, "a coefficient must be below 2^32")
+    return x
 
 
 def parse_labels(group: FinAbGroup, payload, path: str) -> tuple[GroupRingElem, ...]:

@@ -168,29 +168,29 @@ def _roots(fld) -> tuple:
 class FiniteGradedAlgebra:
     """A finite-dimensional graded algebra by monomial structure constants.
 
-    ``table[(i, j)] = (k, e)`` means basis_i * basis_j = r^e * basis_k, with
+    ``rows[i][j] = (k, e)`` means basis_i * basis_j = r^e * basis_k, with
     ``roots[e] = r^e`` the roots of unity of the field; missing pairs multiply
-    to zero.  Indices, exponents and grading compatibility are checked on
-    construction; up to dimension 64 associativity is also checked exactly on
-    all basis triples.
+    to zero.  The rows are kept as given, not copied.  Indices, exponents and
+    grading compatibility are checked on construction; up to dimension 64
+    associativity is also checked exactly on all basis triples.
 
     Internally a degree is its index in ``group.elements()`` (``deg_index``;
     a degree of another group is an error), combined through the group's
-    addition table, and products read the constants by row, ``j -> (k, e)``.
+    addition table.
     """
 
     def __init__(
         self,
         group: FinAbGroup,
         degrees: tuple[GroupElem, ...],
-        table: dict,
+        rows: list[dict],
         unit: Vec,
         generators: tuple[Vec, ...] | None = None,
     ):
         self.group = group
         self.degrees = degrees
         self.dim = len(degrees)
-        self.table = table
+        self.rows = rows
         self.unit = dict(unit)
         self.field = get_field(oracle_conductor(group))
         self.roots = _roots(self.field)
@@ -206,21 +206,17 @@ class FiniteGradedAlgebra:
         self.deg_index = tuple(deg)
         self.addition = add = _addition_table(group)
         m, dim = len(self.roots), self.dim
-        self._rows = rows = [{} for _ in range(dim)]
-        # a key outside range(dim), negative ones too, misses these dicts
-        by_index = dict(enumerate(deg))
-        by_row = {i: (rows[i], add[d]) for i, d in by_index.items()}
-        try:
-            for (i, j), cell in table.items():
-                row, add_i = by_row[i]
-                k, e = cell
+        if len(rows) != dim:
+            raise ValueError("structure-constant key out of range")
+        for row, d in zip(rows, deg):
+            add_d = add[d]
+            for j, (k, e) in row.items():
+                if not 0 <= j < dim:
+                    raise ValueError("structure-constant key out of range")
                 if not (0 <= k < dim and 0 <= e < m):
                     raise ValueError("structure-constant cell out of range")
-                if add_i[by_index[j]] != deg[k]:
+                if add_d[deg[j]] != deg[k]:
                     raise ValueError("structure constants violate the grading")
-                row[j] = cell
-        except KeyError:
-            raise ValueError("structure-constant key out of range") from None
         for i in range(self.dim):
             e_i = {i: self.field.one}
             if self.mul(self.unit, e_i) != e_i or self.mul(e_i, self.unit) != e_i:
@@ -238,8 +234,9 @@ class FiniteGradedAlgebra:
         # prod[i][j] encodes e_i e_j; the extra last row and column stay -1,
         # so a zero product used as an index reads zero again
         prod = [[-1] * (dim + 1) for _ in range(dim + 1)]
-        for (i, j), (t, a) in self.table.items():
-            prod[i][j] = t * m + a
+        for row, p in zip(self.rows, prod):
+            for j, (t, a) in row.items():
+                p[j] = t * m + a
         # shift[a][code] multiplies the product a code encodes by r^a
         codes = range(dim * m)
         shift = [[c - c % m + (c + a) % m for c in codes] + [-1] for a in range(m)]
@@ -273,7 +270,7 @@ class FiniteGradedAlgebra:
     def mul(self, u: Vec, v: Vec) -> Vec:
         out: Vec = {}
         for i, a in u.items():
-            row = self._rows[i]
+            row = self.rows[i]
             for j, b in v.items():
                 cell = row.get(j)
                 if cell:
@@ -282,7 +279,7 @@ class FiniteGradedAlgebra:
 
     def mul_basis(self, i: int, v: Vec) -> Vec:
         out: Vec = {}
-        row = self._rows[i]
+        row = self.rows[i]
         for j, b in v.items():
             cell = row.get(j)
             if cell:
@@ -306,7 +303,7 @@ class FiniteGradedAlgebra:
             return cached[i]
         ok = True
         seen = set()
-        for row in self._rows:
+        for row in self.rows:
             cell = row.get(i)
             if not cell:
                 ok = False
@@ -363,14 +360,13 @@ def build_twisted(bichar: Bicharacter) -> FiniteGradedAlgebra:
     words = [coords[g] for g in elems]
     r = len(gens)
     lower = [row[:i] + (0,) * (r - i) for i, row in enumerate(bichar.matrix)]
-    table: dict = {}
+    rows: list[dict] = [{} for _ in elems]
     for s, p in pos.items():
         for t, q in pos.items():
-            exp = _form(lower, words[p], words[q], n)
-            table[(p, q)] = (pos[add[s][t]], 2 * exp)
+            rows[p][q] = (pos[add[s][t]], 2 * _form(lower, words[p], words[q], n))
     unit = {pos[0]: fld.one}
     gen_vecs = tuple({pos[index[g.coords]]: fld.one} for g in gens) or (dict(unit),)
-    return FiniteGradedAlgebra(G, tuple(elems), table, unit, generators=gen_vecs)
+    return FiniteGradedAlgebra(G, tuple(elems), rows, unit, generators=gen_vecs)
 
 
 def build_matrix(
@@ -387,26 +383,26 @@ def build_matrix(
     if not x.is_nonneg_integer:
         raise ValueError("matrix multiset must be a nonnegative integer element")
     G = x.group
-    gamma = [g for g, c in x.coeffs for _ in range(int(c))]
-    size = len(gamma)
+    size = sum(x.num)
     inner_dim = division.support.order if division is not None else 1
+    # bounded before gamma lists every copy of every element
     if size * size * inner_dim > DIM_CAP:
         raise ValueError("dimension cap exceeded")
+    gamma = [g for g, c in x.coeffs for _ in range(int(c))]
     fld = get_field(oracle_conductor(G))
     degrees = tuple(gp * gq.inverse() for gp in gamma for gq in gamma)
-    table = {
-        (p * size + q, q * size + r): (p * size + r, 0)
+    rows = [
+        {q * size + r: (p * size + r, 0) for r in range(size)}
         for p in range(size)
         for q in range(size)
-        for r in range(size)
-    }
+    ]
     unit = {p * size + p: fld.one for p in range(size)}
     gens = [
         {i: fld.one}
         for p in range(size - 1)
         for i in (p * size + p + 1, (p + 1) * size + p)
     ]
-    units = FiniteGradedAlgebra(G, degrees, table, unit, generators=gens or [unit])
+    units = FiniteGradedAlgebra(G, degrees, rows, unit, generators=gens or [unit])
     if division is None:
         return units
     return tensor(units, build_twisted(division.bichar))
@@ -423,11 +419,11 @@ def tensor(a: FiniteGradedAlgebra, b: FiniteGradedAlgebra) -> FiniteGradedAlgebr
     m = len(a.roots)
     elems, add = a.group.elements(), a.addition
     degrees = tuple(elems[add[x][y]] for x in a.deg_index for y in b.deg_index)
-    table = {
-        (i1 * bd + i2, j1 * bd + j2): (k1 * bd + k2, (e1 + e2) % m)
-        for (i1, j1), (k1, e1) in a.table.items()
-        for (i2, j2), (k2, e2) in b.table.items()
-    }
+    rows = [
+        {j1 * bd + j2: (k1 * bd + k2, (e1 + e2) % m)
+         for j1, (k1, e1) in row1.items() for j2, (k2, e2) in row2.items()}
+        for row1 in a.rows for row2 in b.rows
+    ]
 
     def embed(u: Vec, v: Vec) -> Vec:
         return {i * bd + j: c1 * c2 for i, c1 in u.items() for j, c2 in v.items()}
@@ -435,15 +431,16 @@ def tensor(a: FiniteGradedAlgebra, b: FiniteGradedAlgebra) -> FiniteGradedAlgebr
     unit = embed(a.unit, b.unit)
     gens = [embed(g, b.unit) for g in a.generators]
     gens += [embed(a.unit, g) for g in b.generators]
-    return FiniteGradedAlgebra(a.group, degrees, table, unit, generators=tuple(gens))
+    return FiniteGradedAlgebra(a.group, degrees, rows, unit, generators=tuple(gens))
 
 
 def opposite(a: FiniteGradedAlgebra) -> FiniteGradedAlgebra:
     """The opposite algebra with the same grading."""
-    table = {(j, i): cell for (i, j), cell in a.table.items()}
-    return FiniteGradedAlgebra(
-        a.group, a.degrees, table, a.unit, generators=a.generators
-    )
+    rows: list[dict] = [{} for _ in range(a.dim)]
+    for i, row in enumerate(a.rows):
+        for j, cell in row.items():
+            rows[j][i] = cell
+    return FiniteGradedAlgebra(a.group, a.degrees, rows, a.unit, generators=a.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +453,7 @@ def center_dimension(a: FiniteGradedAlgebra) -> int:
     # where e_k*g is a row product and g*e_k reads column k of g's rows
     rows: dict = {}
     for gi, gvec in enumerate(a.generators):
-        neg = [(a._rows[i], -c) for i, c in gvec.items()]
+        neg = [(a.rows[i], -c) for i, c in gvec.items()]
         for k in range(a.dim):
             diff = a.mul_basis(k, gvec)
             for row, c in neg:

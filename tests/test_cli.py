@@ -406,6 +406,9 @@ MALFORMED = [
     (["standard-form"], [{**DESCRIPTOR, "x0": [{"elem": [0, 0], "mult": 2**32}]}],
      ".x0[0].mult"),
     (["standard-form"], [{**DESCRIPTOR, "x0": TWO * 65}], ".x0"),
+    # terms each below the bound whose sum reaches it
+    (["standard-form"], [{**DESCRIPTOR, "x0": [{"elem": [0, 0], "mult": 2**32 - 63}]
+                          + [{"elem": [0, 0], "mult": 1}] * 63}], ".x0"),
     (["standard-form"], [{**DESCRIPTOR, "prefix_labels": [TWO] * 65}], ".prefix_labels"),
     (["standard-form"], [{**DESCRIPTOR, "cycle_labels": [TWO] * 65}], ".cycle_labels"),
     (["standard-form"], [{"group": [1] * 65, "x0": [{"elem": [0] * 65, "mult": 1}],
@@ -429,16 +432,15 @@ def test_malformed_input_is_an_error_naming_its_key(tmp_path, capsys, command, p
 def test_labels_at_the_size_bounds_parse(tmp_path, capsys):
     one = [{"elem": [0, 0], "mult": 1}]
     edge = write(tmp_path, "edge.json", {
-        "group": KLEIN, "x0": [{"elem": [0, 0], "mult": 2**32 - 1}] + one * 63,
+        "group": KLEIN, "x0": [{"elem": [0, 0], "mult": 2**32 - 64}] + one * 63,
         "prefix_labels": [one] * 64, "cycle_labels": [one] * 64,
     })
     d = cli.load_descriptor(edge)
     assert len(d.prefix) == len(d.cycle) == 64
-    # the 64 terms at the identity add up past the bound, so standard-form,
-    # which prints the summed x0, refuses its output
-    assert d.x0.num[0] == 2**32 + 62
-    assert main(["standard-form", edge]) == 2
-    assert "output.descriptor.x0[0].mult" in capsys.readouterr().err
+    # the 64 terms at the identity add up to the largest coefficient allowed
+    assert d.x0.num[0] == 2**32 - 1
+    assert main(["standard-form", edge]) == 0
+    assert f'"mult": {2**32 - 1}' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", [["standard-form"], ["brauer", "inv"]])

@@ -117,11 +117,11 @@ def _dense_rank(matrix, field) -> int:
 
 def _dense_center_dimension(a) -> int:
     """dim A minus the rank of z -> (z*g - g*z) over the stored generators g,
-    with every product read off the tuple-keyed ``table`` into dense rows."""
+    with every product read cell by cell off ``rows`` into dense rows."""
     fld, dim = a.field, a.dim
 
     def basis_product(i, j):
-        cell = a.table.get((i, j))
+        cell = a.rows[i].get(j)
         return (None, fld.zero) if cell is None else (cell[0], a.roots[cell[1]])
 
     rows = []

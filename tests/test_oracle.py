@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -159,12 +161,21 @@ def test_tensor_dimension_cap(klein):
         build_matrix(GroupRingElem.constant(klein, 65))
 
 
+def test_matrix_cap_is_checked_before_the_multiset_is_expanded(klein, pauli):
+    # 10^12 copies of the identity would be a list of 10^12 degrees
+    with pytest.raises(ValueError, match="dimension cap"):
+        build_matrix(GroupRingElem.constant(klein, 10**12))
+    with pytest.raises(ValueError, match="dimension cap"):
+        build_matrix(GroupRingElem.constant(klein, 10**12), pauli)
+
+
 def test_tensor_degree_rule(klein, pauli):
     p = build_twisted(pauli.bichar)
     t = tensor(p, p)
-    for (i, j), (k, e) in t.table.items():
-        assert 0 <= e < len(t.roots)
-        assert t.degrees[k] == t.degrees[i] * t.degrees[j]
+    for i, row in enumerate(t.rows):
+        for j, (k, e) in row.items():
+            assert 0 <= e < len(t.roots)
+            assert t.degrees[k] == t.degrees[i] * t.degrees[j]
 
 
 def test_decompose_examples(klein, pauli, x_t):
@@ -244,14 +255,18 @@ def _twisted_z42():
     return build_twisted(Bicharacter.trivial(full))
 
 
+def _copy_rows(alg):
+    return [dict(row) for row in alg.rows]
+
+
 def _with_cell(alg, cell_of):
-    """A copy of alg's table with the cell of two non-identity basis
+    """A copy of alg's rows with the cell of two non-identity basis
     elements replaced by ``cell_of(old_cell)``."""
     e = alg.degrees.index(alg.group.identity)
     i, j = [k for k in range(alg.dim) if k != e][:2]
-    table = dict(alg.table)
-    table[(i, j)] = cell_of(table[(i, j)])
-    return FiniteGradedAlgebra(alg.group, alg.degrees, table, alg.unit)
+    rows = _copy_rows(alg)
+    rows[i][j] = cell_of(alg.rows[i].get(j))
+    return FiniteGradedAlgebra(alg.group, alg.degrees, rows, alg.unit)
 
 
 def _times_r(alg, cell):
@@ -273,19 +288,19 @@ def test_perturbed_constant_in_dimension_64_names_the_first_failing_triple():
     small = next(c for c in classes if c.support.order == 4)
     alg = tensor(build_twisted(big.bichar), build_twisted(small.bichar))
     assert alg.dim == 64
-    table = dict(alg.table)
-    table[(5, 9)] = _times_r(alg, table[(5, 9)])
+    rows = _copy_rows(alg)
+    rows[5][9] = _times_r(alg, alg.rows[5].get(9))
     with pytest.raises(ValueError, match=r"associativity fails on basis triple \(1,4,9\)$"):
-        FiniteGradedAlgebra(alg.group, alg.degrees, table, alg.unit)
+        FiniteGradedAlgebra(alg.group, alg.degrees, rows, alg.unit)
 
 
 def test_product_zero_in_one_bracketing_only_fails_associativity(klein_full):
     alg = build_twisted(Bicharacter.trivial(klein_full))
-    table = dict(alg.table)
+    rows = _copy_rows(alg)
     # e1 e2 = 0 while e1 e1 = e0: (e1 e1) e2 = e2 but e1 (e1 e2) = 0
-    del table[(1, 2)]
+    del rows[1][2]
     with pytest.raises(ValueError, match=r"associativity fails on basis triple \(1,1,2\)$"):
-        FiniteGradedAlgebra(alg.group, alg.degrees, table, alg.unit)
+        FiniteGradedAlgebra(alg.group, alg.degrees, rows, alg.unit)
 
 
 def test_cell_with_index_out_of_range_is_rejected():
@@ -303,10 +318,19 @@ def test_cell_with_exponent_out_of_range_is_rejected():
 
 
 def _with_key(alg, key, source):
-    """alg's table plus the cell of ``source`` copied under ``key``."""
-    table = dict(alg.table)
-    table[key] = table[source]
-    return FiniteGradedAlgebra(alg.group, alg.degrees, table, alg.unit)
+    """alg's rows plus the cell of ``source`` copied under ``key``."""
+    (i, j), (si, sj) = key, source
+    rows = _copy_rows(alg)
+    rows[i][j] = alg.rows[si].get(sj)
+    return FiniteGradedAlgebra(alg.group, alg.degrees, rows, alg.unit)
+
+
+def _with_extra_row(alg, at):
+    """alg's rows with a copy of its last row inserted at ``at``: one row
+    more than the dimension."""
+    rows = _copy_rows(alg)
+    rows.insert(at, dict(alg.rows[-1]))
+    return FiniteGradedAlgebra(alg.group, alg.degrees, rows, alg.unit)
 
 
 def _klein_twisted(klein_full):
@@ -314,10 +338,10 @@ def _klein_twisted(klein_full):
 
 
 def test_negative_row_key_is_rejected(klein_full):
-    # Python indexing would file it under row dim - 1, the cell it copies
+    # a row list has no negative row: a row put before row 0 makes dim + 1
     alg = _klein_twisted(klein_full)
     with pytest.raises(ValueError, match="key out of range"):
-        _with_key(alg, (-1, 0), (alg.dim - 1, 0))
+        _with_extra_row(alg, 0)
 
 
 def test_negative_column_key_is_rejected(klein_full):
@@ -329,14 +353,14 @@ def test_negative_column_key_is_rejected(klein_full):
 def test_row_key_past_the_dimension_is_rejected(klein_full):
     alg = _klein_twisted(klein_full)
     with pytest.raises(ValueError, match="key out of range"):
-        _with_key(alg, (alg.dim, 0), (alg.dim - 1, 0))
+        _with_extra_row(alg, alg.dim)
 
 
 def test_cell_in_the_wrong_degree_is_rejected():
     alg = _twisted_z42()  # one basis element per degree
     e = alg.degrees.index(alg.group.identity)
     i, j = [k for k in range(alg.dim) if k != e][:2]
-    k = alg.table[(i, j)][0]
+    k = alg.rows[i].get(j)[0]
     for wrong in range(alg.dim):
         if wrong != k:
             with pytest.raises(ValueError, match="constants violate the grading"):
@@ -348,14 +372,14 @@ def test_degree_rule_compares_degrees_not_basis_indices():
     x = GroupRingElem.from_dict(klein, {klein.identity: 1, klein.element((1, 0)): 1})
     alg = build_matrix(x)  # E_00 and E_11 both have the identity degree
     assert alg.degrees[0] == alg.degrees[3] == klein.identity
-    table = dict(alg.table)
-    assert table[(1, 2)] == (0, 0)  # E_01 E_10 = E_00
-    table[(1, 2)] = (3, 0)  # E_01 E_10 moved to the other basis element of its degree
+    rows = _copy_rows(alg)
+    assert rows[1].get(2) == (0, 0)  # E_01 E_10 = E_00
+    rows[1][2] = (3, 0)  # E_01 E_10 moved to the other basis element of its degree
     with pytest.raises(ValueError, match="associativity fails"):
-        FiniteGradedAlgebra(klein, alg.degrees, table, alg.unit)
-    table[(1, 2)] = (1, 0)  # to a basis element of degree (1, 0)
+        FiniteGradedAlgebra(klein, alg.degrees, rows, alg.unit)
+    rows[1][2] = (1, 0)  # to a basis element of degree (1, 0)
     with pytest.raises(ValueError, match="violate the grading"):
-        FiniteGradedAlgebra(klein, alg.degrees, table, alg.unit)
+        FiniteGradedAlgebra(klein, alg.degrees, rows, alg.unit)
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +420,14 @@ def test_degrees_from_another_group_are_rejected(klein):
     one = get_field(4).one
     z4 = group_new([4])
     with pytest.raises(ValueError, match="not an element of the grading group"):
-        FiniteGradedAlgebra(klein, (z4.identity,), {(0, 0): (0, 0)}, {0: one})
+        FiniteGradedAlgebra(klein, (z4.identity,), [{0: (0, 0)}], {0: one})
     alg = build_twisted(Bicharacter.trivial(Subgroup(klein, (klein.element((1, 0)),))))
     assert alg.degrees == (klein.identity, klein.element((1, 0)))
     # a foreign degree whose coordinates are also those of an element of
     # klein, and an element of klein with unreduced coordinates
     for foreign in (group_new([2, 4]).element((1, 0)), GroupElem(klein, (3, 0))):
         with pytest.raises(ValueError, match="not an element of the grading group"):
-            FiniteGradedAlgebra(klein, (klein.identity, foreign), alg.table, alg.unit)
+            FiniteGradedAlgebra(klein, (klein.identity, foreign), alg.rows, alg.unit)
 
 
 @pytest.mark.parametrize("factors", _ORACLE_CATALOG + [(2, 2, 2, 2)])
@@ -434,12 +458,13 @@ def _sample_algebras():
 
 
 def _reference_mul(alg, u, v):
-    """u * v read cell by cell off the public ``table``."""
+    """u * v read cell by cell off the public ``rows``."""
     out = {}
     for i, a in u.items():
         for j, b in v.items():
-            if (i, j) in alg.table:
-                k, e = alg.table[(i, j)]
+            cell = alg.rows[i].get(j)
+            if cell is not None:
+                k, e = cell
                 out[k] = out.get(k, alg.field.zero) + a * b * alg.roots[e]
     return {k: c for k, c in out.items() if not c.is_zero}
 
@@ -464,6 +489,43 @@ def test_degree_indices_and_row_products_agree_with_the_table():
             assert alg.mul(u, v) == _reference_mul(alg, u, v)
             i = rng.randrange(alg.dim)
             assert alg.mul_basis(i, v) == _reference_mul(alg, {i: fld.one}, v)
+
+
+def test_tensor_cells_are_products_of_factor_cells():
+    algs = _sample_algebras()
+    for a in algs:
+        for b in algs:
+            if a.group != b.group:
+                continue
+            t, bd, m = tensor(a, b), b.dim, len(a.roots)
+            for i1, i2, j1, j2 in itertools.product(range(a.dim), range(bd), repeat=2):
+                c1, c2 = a.rows[i1].get(j1), b.rows[i2].get(j2)
+                want = None
+                if c1 is not None and c2 is not None:
+                    want = (c1[0] * bd + c2[0], (c1[1] + c2[1]) % m)
+                assert t.rows[i1 * bd + i2].get(j1 * bd + j2) == want
+
+
+def test_opposite_transposes_the_rows():
+    for a in _sample_algebras():
+        op = opposite(a)
+        for i, j in itertools.product(range(a.dim), repeat=2):
+            assert op.rows[j].get(i) == a.rows[i].get(j)
+        assert opposite(op).rows == a.rows
+
+
+def test_matrix_unit_cells_multiply_as_matrix_units():
+    klein = group_new([2, 2])
+    units = [
+        _sample_algebras()[2],
+        build_matrix(GroupRingElem.from_dict(klein, {klein.identity: 2, klein.element((1, 1)): 1})),
+    ]
+    for alg in units:
+        size = math.isqrt(alg.dim)
+        for p, q, q2, r in itertools.product(range(size), repeat=4):
+            # E_pq E_q2r = E_pr when q == q2, else zero
+            want = (p * size + r, 0) if q == q2 else None
+            assert alg.rows[p * size + q].get(q2 * size + r) == want
 
 
 def test_module_blocks_and_endo_support_agree_with_group_elements():
