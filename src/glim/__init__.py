@@ -7,14 +7,12 @@ format and the command-line interface.
 
 from .abelian import (
     CharOrbit,
-    Character,
     FinAbGroup,
     GroupElem,
     Subgroup,
     dual_and_orbits,
     group_new,
-    perp_of_orbits,
-    perp_of_subgroup,
+    perp,
     quotient,
 )
 from .cyclotomic import CycNum, CyclotomicField, get_field

@@ -5,7 +5,9 @@ coordinate tuples.  A subgroup is the span of its generators, stored by full
 element enumeration, which is exact and ample at the documented scale
 (|G| <= 64); ``subgroup_from_members`` is the one checked conversion from an
 element set.  Quotients are normalized through the Smith normal form so equal
-quotients get equal factor lists.
+quotients get equal factor lists.  The dual group is G itself: a character
+is the element whose coordinates are its exponents, read through the
+symmetric pairing ``GroupElem.value_exponent``.
 """
 
 from __future__ import annotations
@@ -114,6 +116,13 @@ class GroupElem:
     @property
     def is_identity(self) -> bool:
         return all(a == 0 for a in self.coords)
+
+    def value_exponent(self, g: "GroupElem") -> int:
+        """The k with chi(g) = zeta_n^k for the character chi whose exponents
+        m are this element's coordinates: sum (n/d_i) m_i c_i mod n, which is
+        symmetric in chi and g."""
+        n, terms = self.group.exponent, zip(self.coords, g.coords, self.group.factors)
+        return sum((n // d) * m * c for m, c, d in terms) % n
 
     def __repr__(self) -> str:
         return "(" + ",".join(str(a) for a in self.coords) + ")"
@@ -332,57 +341,12 @@ def quotient(group: FinAbGroup, sub: Subgroup) -> tuple[FinAbGroup, tuple[int, .
 
 
 @dataclass(frozen=True)
-class Character:
-    """A character of G, encoded by exponents m with chi(g) = zeta_n^{sum (n/d_i) m_i c_i}."""
-
-    group: FinAbGroup
-    exponents: tuple[int, ...]
-
-    def value_exponent(self, g: GroupElem) -> int:
-        n = self.group.exponent
-        return (
-            sum(
-                (n // d) * m * c
-                for m, c, d in zip(self.exponents, g.coords, self.group.factors)
-            )
-            % n
-        )
-
-    @property
-    def order(self) -> int:
-        return lcm(
-            *(d // gcd(d, m) if m else 1 for m, d in zip(self.exponents, self.group.factors))
-        )
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(m == 0 for m in self.exponents)
-
-    def __pow__(self, k: int) -> "Character":
-        return Character(
-            self.group,
-            tuple((m * k) % d for m, d in zip(self.exponents, self.group.factors)),
-        )
-
-    def __mul__(self, other: "Character") -> "Character":
-        return Character(
-            self.group,
-            tuple(
-                (a + b) % d
-                for a, b, d in zip(self.exponents, other.exponents, self.group.factors)
-            ),
-        )
-
-    def __repr__(self) -> str:
-        return "chi" + repr(self.exponents)
-
-
-@dataclass(frozen=True)
 class CharOrbit:
-    """Galois orbit of a character under chi -> chi^k, gcd(k, exponent) = 1."""
+    """Galois orbit of a character under chi -> chi^k, gcd(k, exponent) = 1:
+    the generators of the cyclic subgroup the character spans."""
 
-    representative: Character
-    members: frozenset[Character]
+    representative: GroupElem
+    members: frozenset[GroupElem]
 
     @property
     def field_degree(self) -> int:
@@ -390,13 +354,13 @@ class CharOrbit:
 
     @property
     def is_trivial(self) -> bool:
-        return self.representative.is_trivial
+        return self.representative.is_identity
 
     def sort_key(self):
-        return (0 if self.is_trivial else 1, self.representative.exponents)
+        return (0 if self.is_trivial else 1, self.representative.coords)
 
     def __hash__(self) -> int:  # one tuple hash; equality compares all fields
-        return hash(self.representative.exponents)
+        return hash(self.representative.coords)
 
     def __repr__(self) -> str:
         return f"Orbit({self.representative}, size {self.field_degree})"
@@ -404,42 +368,27 @@ class CharOrbit:
 
 @lru_cache(maxsize=None)
 def dual_and_orbits(group: FinAbGroup) -> tuple[CharOrbit, ...]:
-    """All characters of G partitioned into Galois orbits, trivial orbit first."""
+    """All characters of G partitioned into Galois orbits.  In coordinate
+    order an orbit is first reached at its least member, its representative,
+    so the trivial orbit comes first and the rest in ``sort_key`` order."""
     n = group.exponent
     units = [k for k in range(1, n + 1) if gcd(k, n) == 1]
-    seen: set[tuple[int, ...]] = set()
+    seen: set[GroupElem] = set()
     orbits = []
-    for coords in itertools.product(*(range(d) for d in group.factors)):
-        if coords in seen:
-            continue
-        chi = Character(group, coords)
-        members = {chi**k for k in units}
-        for m in members:
-            seen.add(m.exponents)
-        rep = min(members, key=lambda c: c.exponents)
-        orbits.append(CharOrbit(rep, frozenset(members)))
-    orbits.sort(key=lambda o: o.sort_key())
+    for chi in _elements(group):
+        if chi not in seen:
+            members = frozenset(chi**k for k in units)
+            seen |= members
+            orbits.append(CharOrbit(chi, members))
     assert sum(o.field_degree for o in orbits) == group.order
     return tuple(orbits)
 
 
-def perp_of_subgroup(sub: Subgroup) -> Subgroup:
-    """T-perp in the dual group, which is identified with G through exponent
-    coordinates."""
-    G = sub.parent
-    members = [
-        m
-        for m in G.elements()
-        if all(Character(G, m.coords).value_exponent(t) == 0 for t in sub.elements)
-    ]
-    return subgroup_from_members(G, members)
-
-
-def perp_of_orbits(group: FinAbGroup, orbits) -> Subgroup:
-    # chi(g) = 1 exactly when every Galois conjugate of chi(g) is 1
-    members = [
-        g
-        for g in group.elements()
-        if all(o.representative.value_exponent(g) == 0 for o in orbits)
-    ]
+def perp(group: FinAbGroup, elements) -> Subgroup:
+    """The g with x.value_exponent(g) = 0 for every x in ``elements``.  As the
+    pairing is symmetric, T-perp is ``perp(G, T.elements)``; as chi(g) = 1
+    exactly when every Galois conjugate of chi(g) is 1, S-perp for a set S of
+    orbits is ``perp(G, [o.representative for o in S])``."""
+    elements = tuple(elements)
+    members = [g for g in _elements(group) if all(x.value_exponent(g) == 0 for x in elements)]
     return subgroup_from_members(group, members)

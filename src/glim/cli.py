@@ -74,6 +74,21 @@ def load_descriptor(path: str) -> LimitDescriptor:
     return parse_descriptor(load_json(path), path)
 
 
+def _load_elementary(path: str, use: str) -> LimitDescriptor:
+    """A descriptor with no division part beyond the trivial one."""
+    d = load_descriptor(path)
+    if not d.is_elementary:
+        raise DescriptorError(f"{path}.division", f"{use} needs an elementary descriptor")
+    return d
+
+
+def _same_group(group: FinAbGroup, *inputs) -> None:
+    """Refuse the first (path, input) pair graded by another group."""
+    for path, x in inputs:
+        if x.group != group:
+            raise DescriptorError(f"{path}.group", "graded by another group than the first input")
+
+
 def serialize_descriptor(d: LimitDescriptor) -> dict:
     out = {
         "group": list(d.group.factors),
@@ -131,8 +146,7 @@ def _verdict_exit(result: TriBool, args, checker) -> int:
 def cmd_iso(args) -> int:
     a = load_descriptor(args.file_a)
     b = load_descriptor(args.file_b)
-    if a.group != b.group:
-        raise DescriptorError("group", "descriptors are graded by different groups")
+    _same_group(a.group, (args.file_b, b))
     if a.division is None and b.division is None:
         result = iso_elementary(a, b, args.budget, args.budget_primes)
         checker = lambda r: verify_iso_certificate(a, b, r.verdict, r.certificate)
@@ -145,10 +159,9 @@ def cmd_iso(args) -> int:
 
 
 def cmd_absorbs(args) -> int:
-    d = load_descriptor(args.file)
+    d = _load_elementary(args.file, "absorption")
     cls = load_division(args.division)
-    if cls.group != d.group:
-        raise DescriptorError("group", "division class over a different group")
+    _same_group(d.group, (args.division, cls))
     result = absorbs(d, cls, args.budget)
     checker = lambda r: verify_absorbs_certificate(d, cls, r.verdict, r.certificate)
     return _verdict_exit(result, args, checker)
@@ -163,8 +176,7 @@ def cmd_brauer(args) -> int:
     if args.op == "mul":
         d1 = load_division(args.files[0])
         d2 = load_division(args.files[1])
-        if d1.group != d2.group:
-            raise DescriptorError("group", "division classes over different groups")
+        _same_group(d1.group, (args.files[1], d2))
         e_class, y, h = brauer_mul(d1, d2)
         payload = {
             "E": serialize_division(e_class),
@@ -180,9 +192,8 @@ def cmd_brauer(args) -> int:
     # equiv: two classes relative to a limit descriptor
     d1 = load_division(args.files[0])
     d2 = load_division(args.files[1])
-    desc = load_descriptor(args.files[2])
-    if d1.group != desc.group or d2.group != desc.group:
-        raise DescriptorError("group", "inputs graded by different groups")
+    desc = _load_elementary(args.files[2], "brauer equivalence")
+    _same_group(d1.group, (args.files[1], d2), (args.files[2], desc))
     k0 = k0_realization(desc)
     result = brauer_equivalent(d1, d2, k0, args.budget)
 

@@ -149,9 +149,9 @@ def parse_division(group: FinAbGroup, payload, path: str) -> DivisionClass:
 
 
 def orbit_index(orbits: tuple[CharOrbit, ...], payload, path: str) -> int:
-    """The index in ``orbits`` of the orbit whose representative's exponents
+    """The index in ``orbits`` of the orbit whose representative's coordinates
     are the payload's ``rep``."""
-    reps = [o.representative.exponents for o in orbits]
+    reps = [o.representative.coords for o in orbits]
     rep = parse_ints(parse_object(payload, ("rep",), path)["rep"], len(reps[0]), f"{path}.rep")
     if rep not in reps:
         raise DescriptorError(f"{path}.rep", "no orbit of S has this representative")
@@ -187,7 +187,7 @@ def elem_payload(z: GroupRingElem) -> list[dict]:
 
 
 def orbit_payload(o: CharOrbit) -> dict:
-    return {"rep": list(o.representative.exponents), "size": o.field_degree}
+    return {"rep": list(o.representative.coords), "size": o.field_degree}
 
 
 def serialize_division(d: DivisionClass) -> dict:

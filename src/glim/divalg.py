@@ -20,7 +20,6 @@ from math import gcd, isqrt
 from operator import mul
 
 from .abelian import (
-    Character,
     FinAbGroup,
     GroupElem,
     Subgroup,
@@ -265,7 +264,7 @@ def brauer_lift(d: DivisionClass) -> BrauerClass:
     k = len(G.factors)
     gens_b, _, _ = subgroup_basis(d.support)
     table = {row: t for t, row in d.bichar._rows.items()}
-    units = [Character(G, tuple(int(i == j) for j in range(k))) for i in range(k)]
+    units = [G.element([int(i == j) for j in range(k)]) for i in range(k)]
     pairing_elems = [table[tuple(psi.value_exponent(g) for g in gens_b)] for psi in units]
     return BrauerClass(
         G, tuple(tuple(chi.value_exponent(t) for t in pairing_elems) for chi in units)
@@ -288,8 +287,8 @@ def brauer_unlift(b: BrauerClass) -> tuple[Subgroup, Bicharacter]:
     support = Subgroup(G, tuple(images))
     gens_b, _, _ = subgroup_basis(support)
     rows = tuple(
-        tuple(Character(G, support.words[gi]).value_exponent(gj) for gj in gens_b)
-        for gi in gens_b
+        tuple(psi.value_exponent(gj) for gj in gens_b)
+        for psi in (G.element(support.words[gi]) for gi in gens_b)
     )
     return support, Bicharacter(support, rows)
 

@@ -19,7 +19,6 @@ from math import gcd, lcm, prod
 
 from .abelian import (
     CharOrbit,
-    Character,
     FinAbGroup,
     GroupElem,
     Subgroup,
@@ -191,7 +190,7 @@ def pushforward(z: GroupRingElem, target: FinAbGroup, image) -> GroupRingElem:
     return GroupRingElem.from_terms(target, zip(image, z.num), z.den)
 
 
-def _exponents(chi: Character) -> tuple[int, ...]:
+def _exponents(chi: GroupElem) -> tuple[int, ...]:
     """The k with chi(g) = zeta^k for each g, in coordinate order."""
     return tuple(chi.value_exponent(g) for g in chi.group.elements())
 
@@ -239,7 +238,7 @@ def _evaluate(z: GroupRingElem, blocks) -> tuple[CycNum, ...]:
     return tuple(out)
 
 
-def char_eval(z: GroupRingElem, chi: Character) -> CycNum:
+def char_eval(z: GroupRingElem, chi: GroupElem) -> CycNum:
     if chi.group != z.group:
         raise ValueError("character and element over different groups")
     return _evaluate(z, [_exponents(chi)])[0]

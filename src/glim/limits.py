@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice, repeat
 from math import gcd, isqrt, prod
 from operator import mul
 
@@ -315,12 +315,16 @@ def _norm_obstruction(k0: K0Descriptor, z: ProjCoords) -> dict | None:
 
 
 def _member_search(k0: K0Descriptor, z: ProjCoords, budget: int, cone: bool) -> TriBool:
-    """Search the denominators for an integral (cone: nonnegative) preimage
-    of z times cycle^i; when none turns up, try the norm obstruction."""
+    """Try the norm obstruction, which rules out a witness at every index,
+    then search the denominators for an integral (cone: nonnegative)
+    preimage of z times cycle^i."""
     if z.is_zero:
         return TriBool.yes(
             {"kind": "member-witness", "cone": cone, "index": 1, "witness": []}
         )
+    obstruction = _norm_obstruction(k0, z)
+    if obstruction is not None:
+        return TriBool.no(obstruction)
     preimage = cone_preimage if cone else lattice_preimage
     for i, b in k0.denominators(budget):
         w = preimage(z * b)
@@ -333,9 +337,6 @@ def _member_search(k0: K0Descriptor, z: ProjCoords, budget: int, cone: bool) -> 
                     "witness": elem_payload(w),
                 }
             )
-    obstruction = _norm_obstruction(k0, z)
-    if obstruction is not None:
-        return TriBool.no(obstruction)
     return TriBool.unknown({"kind": "budget-exhausted", "budget": budget})
 
 
@@ -510,10 +511,12 @@ def iso_elementary(
 ) -> TriBool:
     """Isomorphism of two elementary limits over the same group.
 
-    Certified no comes from invariant mismatch or a separating prime scaling
-    invariant; certified yes from an explicit pair (b, b') equalizing the
-    order-units together with replayable mutual cone memberships and cycle
-    divisibility witnesses.  Everything else is unknown.
+    Certified no comes from invariant mismatch (S or S0), dimension-type
+    mismatch (one side finite-dimensional), finite type with no shift
+    between the order units, or a separating prime scaling invariant;
+    certified yes from an explicit pair (b, b') equalizing the order-units
+    together with replayable mutual cone memberships and cycle divisibility
+    witnesses.  Everything else is unknown.
     """
     if d.group != d2.group:
         raise ValueError("descriptors over different groups")
@@ -581,11 +584,9 @@ def iso_elementary(
 
     s_is_everything = len(k0a.orbits) == len(dual_and_orbits(d.group))
     start = 0 if s_is_everything else 1
-    # the powers cycle_bar^k for k = start..budget
-    powers = accumulate([k0b.cycle_bar] * budget, mul, initial=GroupRingElem.one(d.group))
-    candidates_b2 = list(powers)[start:]
-
-    for b2 in candidates_b2:
+    # the powers cycle_bar^k for k = start..budget, drawn as they are tried
+    powers = accumulate(repeat(k0b.cycle_bar), mul, initial=GroupRingElem.one(d.group))
+    for b2 in islice(powers, start, budget + 1):
         rhs = b2 * k0b.x0_bar
         lhs = b2 * k0a.x0_bar
         # order units related by a shift: try translated copies of b' first

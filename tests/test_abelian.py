@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glim.abelian import (
-    Character,
     FinAbGroup,
     Subgroup,
     _addition_table,
     dual_and_orbits,
     generator_words,
     group_new,
-    perp_of_orbits,
-    perp_of_subgroup,
+    perp,
     quotient,
     subgroup_basis,
     subgroup_from_members,
@@ -234,16 +232,16 @@ def test_orbits_partition_dual():
 def test_perp_examples():
     klein = group_new([2, 2])
     whole = Subgroup(klein, (klein.element((1, 0)), klein.element((0, 1))))
-    tp = perp_of_subgroup(whole)
+    tp = perp(klein, whole.elements)
     assert sorted(x.coords for x in tp.elements) == [(0, 0)]
 
     triv_orbit = dual_and_orbits(klein)[0]
-    sp = perp_of_orbits(klein, [triv_orbit])
+    sp = perp(klein, [triv_orbit.representative])
     assert sp.order == 4
 
     z4 = group_new([4])
     sub = Subgroup(z4, (z4.element((2,)),))
-    tp4 = perp_of_subgroup(sub)
+    tp4 = perp(z4, sub.elements)
     assert sorted(x.coords for x in tp4.elements) == [(0,), (2,)]
 
 
@@ -251,7 +249,7 @@ def test_perp_biduality():
     for factors in [[2], [4], [2, 2], [4, 2], [2, 2, 2], [8], [3, 3], [9], [4, 4]]:
         g = group_new(factors)
         for sub in all_subgroups(g):
-            dd = perp_of_subgroup(perp_of_subgroup(sub))
+            dd = perp(g, perp(g, sub.elements).elements)
             # double perp of T in the double dual, identified with G
             assert {x.coords for x in dd.elements} == {x.coords for x in sub.elements}
 
@@ -346,17 +344,48 @@ def test_generator_words_are_the_first_words_reached():
 def test_character_multiplicativity(factors, data):
     g = group_new(factors)
     elems = g.elements()
-    chi_coords = data.draw(st.sampled_from(elems)).coords
-    chi = Character(g, chi_coords)
+    chi = data.draw(st.sampled_from(elems))
     a = data.draw(st.sampled_from(elems))
     b = data.draw(st.sampled_from(elems))
     total = chi.value_exponent(a) + chi.value_exponent(b)
     assert chi.value_exponent(a * b) == total % g.exponent
+    # one symmetric pairing: chi(a) = zeta_n^k with k/n = sum m_i c_i / d_i mod 1
+    written_out = sum(Fraction(m * c, d) for m, c, d in zip(chi.coords, a.coords, factors)) % 1
+    assert chi.value_exponent(a) == a.value_exponent(chi) == written_out * g.exponent
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_GROUPS), st.data())
+def test_perp_is_the_annihilator_of_t_and_of_s(factors, data):
+    g = group_new(factors)
+    elems = g.elements()
+    sub = data.draw(st.sampled_from(all_subgroups(g)))
+    # T-perp: the characters trivial on T
+    want_t = {chi for chi in elems if all(chi.value_exponent(t) == 0 for t in sub.elements)}
+    assert perp(g, sub.elements).elements == want_t
+    # S-perp: the elements every character of every orbit of S is trivial on
+    orbits = data.draw(st.lists(st.sampled_from(dual_and_orbits(g)), unique=True))
+    want_s = {
+        x for x in elems if all(chi.value_exponent(x) == 0 for o in orbits for chi in o.members)
+    }
+    assert perp(g, [o.representative for o in orbits]).elements == want_s
+
+
+def test_orbits_are_the_generator_sets_of_the_cyclic_subgroups():
+    for factors in [[1], [6], [4, 2], [2, 2, 2], [8], [3, 3], [12], [4, 4], [8, 2], [6, 6],
+                    [64], [4, 4, 2], [8, 8]]:
+        g = group_new(factors)
+        generator_sets = set()
+        for sub in all_subgroups(g):
+            gens = frozenset(x for x in sub.elements if Subgroup(g, (x,)) == sub)
+            if gens:
+                generator_sets.add(gens)
+        assert {o.members for o in dual_and_orbits(g)} == generator_sets
 
 
 def test_perp_of_orbit_set_is_galois_stable():
     z4 = group_new([4])
     orbs = dual_and_orbits(z4)
     pair = next(o for o in orbs if o.field_degree == 2)
-    sub = perp_of_orbits(z4, [pair])
+    sub = perp(z4, [pair.representative])
     assert sorted(x.coords for x in sub.elements) == [(0,)]

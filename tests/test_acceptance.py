@@ -151,7 +151,7 @@ def test_criterion_5_oracle_equivalence_suite():
 
 def test_criterion_6_invariant_suites():
     start = time.monotonic()
-    from glim.abelian import all_subgroups, dual_and_orbits, perp_of_subgroup
+    from glim.abelian import all_subgroups, dual_and_orbits, perp
     from glim.groupring import orbit_idempotent, project
 
     ok = True
@@ -187,7 +187,7 @@ def test_criterion_6_invariant_suites():
     for factors in [[2, 2], [4], [4, 2], [8]]:
         gg = group_new(factors)
         for sub in all_subgroups(gg):
-            dd = perp_of_subgroup(perp_of_subgroup(sub))
+            dd = perp(gg, perp(gg, sub.elements).elements)
             ok = ok and {x.coords for x in dd.elements} == {
                 x.coords for x in sub.elements
             }

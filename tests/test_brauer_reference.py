@@ -18,7 +18,6 @@ import pytest
 
 from glim import abelian
 from glim.abelian import (
-    Character,
     GroupElem,
     Subgroup,
     group_new,
@@ -39,7 +38,7 @@ from glim.groupring import GroupRingElem, subgroup_sum
 from glim.limits import elem_payload
 
 
-def _pairing_element(d: DivisionClass, psi: Character) -> GroupElem:
+def _pairing_element(d: DivisionClass, psi: GroupElem) -> GroupElem:
     """The unique t in the support with beta(t, .) equal to psi restricted."""
     gens_b, _, _ = subgroup_basis(d.support)
     found = None
@@ -54,7 +53,7 @@ def _pairing_element(d: DivisionClass, psi: Character) -> GroupElem:
 def reference_lift(d: DivisionClass) -> BrauerClass:
     G = d.group
     k = len(G.factors)
-    units = [Character(G, tuple(int(i == j) for j in range(k))) for i in range(k)]
+    units = [G.element([int(i == j) for j in range(k)]) for i in range(k)]
     pairing_elems = [_pairing_element(d, chi) for chi in units]
     return BrauerClass(
         G, tuple(tuple(chi.value_exponent(t) for t in pairing_elems) for chi in units)
@@ -80,7 +79,7 @@ def reference_unlift(b: BrauerClass) -> tuple[Subgroup, Bicharacter]:
     for psi, g in carrier.items():
         reps.setdefault(g, psi)
     rows = tuple(
-        tuple(Character(G, reps[gi].coords).value_exponent(gj) for gj in gens_b)
+        tuple(reps[gi].value_exponent(gj) for gj in gens_b)
         for gi in gens_b
     )
     return support, Bicharacter(support, rows)

@@ -202,6 +202,30 @@ def test_iso_group_mismatch_is_an_error(files, capsys):
     assert main(["iso", files["a"], files["two"]]) == 2
 
 
+def test_group_mismatch_names_the_later_files_group(files, capsys, tmp_path):
+    z1_div = write(
+        tmp_path, "z1.json", {"group": [1], "support_gens": [], "beta": [], "zeta_order": 1}
+    )
+    for argv, path in [
+        (["iso", files["a"], files["two"]], files["two"]),
+        (["absorbs", files["two"], "--division", files["pauli"]], files["pauli"]),
+        (["brauer", "mul", files["pauli"], z1_div], z1_div),
+        (["brauer", "equiv", files["pauli"], files["trivial"], files["two"]], files["two"]),
+    ]:
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}.group: ")
+
+
+def test_a_division_part_where_an_elementary_descriptor_is_needed_is_refused(files, capsys):
+    # all three files are over Z2 x Z2: the refusal names the division part
+    for argv in [
+        ["brauer", "equiv", files["pauli"], files["pauli"], files["a_pauli"]],
+        ["absorbs", files["a_pauli"], "--division", files["pauli"]],
+    ]:
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {files['a_pauli']}.division: ")
+
+
 def test_iso_certificate_replay(files, capsys):
     code, out = run(
         capsys, "iso", files["a_pauli"], files["a_prime"], "--json",

@@ -7,7 +7,7 @@ from glim.abelian import (
     Subgroup,
     all_subgroups,
     group_new,
-    perp_of_subgroup,
+    perp,
     subgroup_basis,
 )
 from glim.divalg import (
@@ -85,7 +85,7 @@ def test_brauer_lift_examples(klein, klein_full, pauli):
     assert all(v % 2 == 0 for row in brauer_lift(triv).matrix for v in row)
     d44 = z44_class(1)
     lift = brauer_lift(d44)
-    tperp = perp_of_subgroup(d44.support)
+    tperp = perp(d44.group, d44.support.elements)
     assert {x.coords for x in lift.radical_dual().elements} == {
         x.coords for x in tperp.elements
     }
@@ -114,7 +114,7 @@ def test_radical_of_lift_is_support_perp():
         g = group_new(factors)
         for cls in enumerate_division_classes(g):
             lift = brauer_lift(cls)
-            tperp = perp_of_subgroup(cls.support)
+            tperp = perp(g, cls.support.elements)
             assert {x.coords for x in lift.radical_dual().elements} == {
                 x.coords for x in tperp.elements
             }

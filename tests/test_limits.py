@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from glim.abelian import Character, Subgroup, group_new
+from glim import limits
+from glim.abelian import GroupElem, Subgroup, group_new
 from glim.cyclotomic import get_field
 from glim.divalg import DivisionClass, enumerate_division_classes
 from glim.groupring import GroupRingElem, ProjCoords, project, subgroup_sum, supp_orbits
@@ -180,6 +181,15 @@ def test_member_k_dyadic(trivial_group):
     assert verify_member_certificate(k, third, r2.verdict, r2.certificate)
 
 
+def test_norm_obstruction_is_tried_before_any_denominator(trivial_group, count_calls):
+    # the obstruction rules out a witness at every index, so no budget is walked
+    k = k0_realization(uhf(trivial_group, 2))
+    third = ProjCoords(trivial_group, k.orbits, (get_field(1).scalar(Fraction(1, 3)),))
+    solves = count_calls(limits, "lattice_preimage")
+    assert in_k_group(k, third, 10**6).certificate["kind"] == "norm-obstruction"
+    assert solves[0] == 0
+
+
 def test_member_witness_with_a_huge_index_is_refused_quickly(trivial_group):
     k = k0_realization(uhf(trivial_group, 2))
     r = in_k_group(k, k.order_unit, 4)
@@ -314,7 +324,7 @@ def test_absorbs_k0_pairs_only_the_support_with_the_orbits_of_s(count_calls):
     assert len(k0.orbits) == 1
     d_class = next(c for c in enumerate_division_classes(g) if c.support.order == 4)
     absorbs_k0(k0, d_class)
-    values = count_calls(Character, "value_exponent")
+    values = count_calls(GroupElem, "value_exponent")
     assert absorbs_k0(k0, d_class).verdict == "yes"
     assert values[0] <= 4
 
@@ -458,6 +468,25 @@ def test_iso_elementary_reflexive(klein):
         r = iso_elementary(d, d, 6)
         assert r.verdict == "yes"
         assert verify_iso_certificate(d, d, r.verdict, r.certificate)
+
+
+def test_iso_draws_no_cycle_power_past_the_candidate_that_succeeds(klein, count_calls):
+    # x0 = e and cycle e+a+b+2ab: the first candidate b' succeeds, so the
+    # work done does not grow with the budget
+    a, b = klein.element((1, 0)), klein.element((0, 1))
+    cycle = GroupRingElem.from_dict(klein, {klein.identity: 1, a: 1, b: 1, a * b: 2})
+
+    def fresh():
+        return LimitDescriptor(klein, const(klein, 1), (), (cycle,))
+
+    iso_elementary(fresh(), fresh())  # the per-group caches fill here
+    muls = count_calls(GroupRingElem, "__mul__")
+    counts = []
+    for budget in (32, 20_000):
+        start = muls[0]
+        assert iso_elementary(fresh(), fresh(), budget).verdict == "yes"
+        counts.append(muls[0] - start)
+    assert counts[0] == counts[1]
 
 
 def test_iso_elementary_uhf(trivial_group):
