@@ -115,7 +115,8 @@ _EXIT = {"yes": 0, "no": 1, "unknown": 3}
 def cmd_standard_form(args) -> int:
     d = load_descriptor(args.file)
     sf = standard_form(d)
-    s, s0 = support_invariants(d)
+    # the form is already standard, so this pass takes S and S0 as they stand
+    s, s0 = support_invariants(sf)
     out = serialize_descriptor(sf)
     # x0 and the cycle label are products of stated labels, so they can pass
     # the input bounds: what does not read back is refused, not printed

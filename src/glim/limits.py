@@ -32,7 +32,6 @@ from .abelian import (
     quotient,
 )
 from .codec import elem_payload, exact, orbit_index, orbit_payload, parse_element, parse_label
-from .cyclotomic import CycNum
 from .divalg import DivisionClass, brauer_mul
 from .groupring import (
     GroupRingElem,
@@ -224,6 +223,11 @@ class K0Descriptor:
         """pi(cycle_bar) on S; pi is a ring map, so the denominators are its powers."""
         return project(self.cycle_bar, self.orbits)
 
+    @cached_property
+    def cycle_norms(self) -> tuple[Fraction, ...]:
+        """The norm to Q of each cycle coordinate, in orbit order."""
+        return tuple(v.norm_to_q() for v in self.cycle.values)
+
     @property
     def S(self) -> frozenset[CharOrbit]:
         return frozenset(self.orbits)
@@ -291,13 +295,10 @@ def _norm_obstruction(k0: K0Descriptor, z: ProjCoords) -> dict | None:
     clear: the cycle norm's primes are stripped by gcd, then the rest is
     trial-divided up to its square root or TRIAL_DIVISION_CAP, whichever is
     smaller (past the cap the certificate names the whole remainder)."""
-    cyc = k0.cycle
-    for j, orbit in enumerate(k0.orbits):
-        val = z.values[j]
+    for orbit, val, cyc_norm in zip(k0.orbits, z.values, k0.cycle_norms):
         if val.is_zero:
             continue
         nz = val.norm_to_q()
-        cyc_norm = cyc.values[j].norm_to_q()
         den = nz.denominator
         while (g := gcd(den, cyc_norm.numerator * cyc_norm.denominator)) != 1:
             den //= g
@@ -446,34 +447,6 @@ def absorbs(
 # isomorphism procedures
 
 
-def _cycle_divisibility(
-    k0: K0Descriptor, other_cycle: ProjCoords, budget: int
-) -> tuple[int, GroupRingElem] | None:
-    """Find (delta, u) with other_cycle * pi(u) = cycle^delta over S."""
-    inv = other_cycle.inverse()
-    for delta, power in k0.denominators(budget):
-        u = cone_preimage(power * inv)
-        if u is not None:
-            return delta, u
-    return None
-
-
-def _forced_target_values(
-    k0a: K0Descriptor, rhs: GroupRingElem
-) -> dict[CharOrbit, CycNum]:
-    """Coordinates forced on S0 by the order-unit equation, zero off S."""
-    forced: dict[CharOrbit, CycNum] = {}
-    all_orbits = dual_and_orbits(k0a.group)
-    rhs_coords = project(rhs, all_orbits)
-    x0_coords = project(k0a.x0_bar, all_orbits)
-    for o, rv, xv in zip(rhs_coords.orbits, rhs_coords.values, x0_coords.values):
-        if o in k0a.s0:
-            forced[o] = rv * xv.inverse()
-        elif o not in k0a.S:
-            forced[o] = rv * 0  # zero off S
-    return forced
-
-
 def _solve_initial_factor(
     k0a: K0Descriptor, rhs: GroupRingElem, pinned: GroupRingElem | None
 ) -> GroupRingElem | None:
@@ -484,21 +457,21 @@ def _solve_initial_factor(
     values on a retry).  Returns None when the constrained cone is empty or
     the free coordinates came out vanishing.
     """
-    forced = _forced_target_values(k0a, rhs)
-    group = k0a.group
-    if pinned is not None:
-        all_orbits = dual_and_orbits(group)
-        pin_coords = project(pinned, all_orbits)
-        for o, v in zip(pin_coords.orbits, pin_coords.values):
-            if o in k0a.S and o not in k0a.s0:
-                forced[o] = v
-    orbs = canonical_orbits(group, forced.keys())
-    target = ProjCoords(group, orbs, tuple(forced[o] for o in orbs))
-    b = cone_preimage(target)
-    if b is None:
-        return None
-    b_coords = project(b, k0a.orbits)
-    if any(v.is_zero for v in b_coords.values):
+    # dual_and_orbits is in canonical order, so the target's orbits are too
+    all_orbits = dual_and_orbits(k0a.group)
+    rhs_c, x0_c = (project(z, all_orbits).values for z in (rhs, k0a.x0_bar))
+    pin_c = repeat(None) if pinned is None else project(pinned, all_orbits).values
+    forced = []
+    for o, rv, xv, pv in zip(all_orbits, rhs_c, x0_c, pin_c):
+        if o in k0a.s0:
+            forced.append((o, rv * xv.inverse()))
+        elif o not in k0a.S:
+            forced.append((o, rv * 0))  # zero off S
+        elif pv is not None:
+            forced.append((o, pv))
+    orbs, values = zip(*forced)
+    b = cone_preimage(ProjCoords(k0a.group, orbs, values))
+    if b is None or any(v.is_zero for v in project(b, k0a.orbits).values):
         return None
     return b
 
@@ -575,12 +548,19 @@ def iso_elementary(
                 }
             )
 
-    cyc_fwd = _cycle_divisibility(k0b, k0a.cycle, budget)
-    cyc_bwd = _cycle_divisibility(k0a, k0b.cycle, budget)
-    if cyc_fwd is None or cyc_bwd is None:
-        return TriBool.unknown(
-            {"kind": "budget-exhausted", "stage": "cycle-divisibility", "budget": budget}
-        )
+    # cycle divisibility: 1/pi(c_a) in K_b^+ (a witness u at index delta says
+    # c_a * pi(u) = c_b^delta with u >= 0), and the mirror.  A norm
+    # obstruction proves there is none at any index; it ends unknown here
+    # like an exhausted walk.
+    cycles = {}
+    for way, k_src, k_other in (("forward", k0b, k0a), ("backward", k0a, k0b)):
+        r = in_positive_cone(k_src, k_other.cycle.inverse(), budget)
+        if not r.is_yes:
+            return TriBool.unknown(
+                {"kind": "budget-exhausted", "stage": "cycle-divisibility", "budget": budget}
+            )
+        delta, witness = r.certificate["index"], r.certificate["witness"]
+        cycles["cycle_" + way] = {"delta": delta, "witness": witness}
 
     s_is_everything = len(k0a.orbits) == len(dual_and_orbits(d.group))
     start = 0 if s_is_everything else 1
@@ -597,11 +577,9 @@ def iso_elementary(
             if cand is not None:
                 b_list.append(cand)
         for b in b_list:
-            if b * k0a.x0_bar != rhs:
+            if b * k0a.x0_bar != rhs or supp_orbits(b) != k0a.S:
                 continue
-            if supp_orbits(b) != k0a.S:
-                continue
-            verdict = _mutual_cone_equality(k0a, k0b, b, b2, budget, cyc_fwd, cyc_bwd)
+            verdict = _mutual_cone_equality(k0a, k0b, b, b2, budget, cycles)
             if verdict is not None:
                 return verdict
     return TriBool.unknown(
@@ -615,8 +593,7 @@ def _mutual_cone_equality(
     b: GroupRingElem,
     b2: GroupRingElem,
     budget: int,
-    cyc_fwd: tuple[int, GroupRingElem],
-    cyc_bwd: tuple[int, GroupRingElem],
+    cycles: dict,
 ) -> TriBool | None:
     b_c = project(b, k0a.orbits)
     b2_c = project(b2, k0a.orbits)
@@ -626,8 +603,6 @@ def _mutual_cone_equality(
     bwd = in_positive_cone(k0a, b2_c * b_c.inverse(), budget)
     if not bwd.is_yes:
         return None
-    delta_f, u_f = cyc_fwd
-    delta_b, u_b = cyc_bwd
     return TriBool.yes(
         {
             "kind": "iso-witness",
@@ -635,8 +610,7 @@ def _mutual_cone_equality(
             "b_prime": elem_payload(b2),
             "base_forward": fwd.certificate,
             "base_backward": bwd.certificate,
-            "cycle_forward": {"delta": delta_f, "witness": elem_payload(u_f)},
-            "cycle_backward": {"delta": delta_b, "witness": elem_payload(u_b)},
+            **cycles,
         }
     )
 
@@ -756,7 +730,7 @@ def verify_member_certificate(
         p = exact(cert["prime"], int, "prime")
         idx = orbit_index(k0.orbits, cert["orbit"], "orbit")
         val = z.values[idx]
-        cyc_norm = k0.cycle.values[idx].norm_to_q()
+        cyc_norm = k0.cycle_norms[idx]
         return (
             p >= 2
             and not val.is_zero
@@ -867,12 +841,12 @@ def verify_iso_certificate(
         ):
             if not verify_cone_certificate(k_src, ratio, "yes", cert["base_" + way]):
                 return False
+            # the cycle divisibility of iso_elementary: 1/pi(c_other) in K_src^+
             cycle = cert["cycle_" + way]
             delta = exact(cycle["delta"], int, f"cycle_{way}.delta")
-            u = parse_label(d.group, cycle["witness"], f"cycle_{way}.witness", certificate=True)
-            if delta < 1 or not u.is_nonneg_integer:
-                return False
-            if k_other.cycle * project(u, k_src.orbits) != k_src.cycle**delta:
+            member = {"kind": "member-witness", "cone": True, "index": delta,
+                      "witness": cycle["witness"]}
+            if not verify_cone_certificate(k_src, k_other.cycle.inverse(), "yes", member):
                 return False
         return True
     return kind == "budget-exhausted"

@@ -1,13 +1,22 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from glim import limits
 from glim.abelian import GroupElem, Subgroup, group_new
+from glim.codec import elem_payload
 from glim.cyclotomic import get_field
 from glim.divalg import DivisionClass, enumerate_division_classes
-from glim.groupring import GroupRingElem, ProjCoords, project, subgroup_sum, supp_orbits
+from glim.groupring import (
+    GroupRingElem,
+    ProjCoords,
+    cone_preimage,
+    project,
+    subgroup_sum,
+    supp_orbits,
+)
 from glim.limits import (
     LimitDescriptor,
     absorbs,
@@ -30,7 +39,17 @@ from glim.limits import (
     verify_scaling_certificate,
 )
 
-from conftest import const, random_descriptor, uhf
+from conftest import (
+    PRESENTATION_TRANSFORMS,
+    const,
+    equivalent_presentation,
+    random_descriptor,
+    random_label,
+    uhf,
+)
+from test_derive_once import DECIDE_MIXED_GROUPS
+from test_golden import BUDGET as GOLDEN_BUDGET
+from test_golden import golden_queries
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +478,64 @@ def test_iso_witness_needs_cone_witnesses_for_the_base_factors():
 
 # ---------------------------------------------------------------------------
 # isomorphism procedures
+
+
+def _cycle_divisibility_reference(k0, other_cycle, budget):
+    """The direct walk for iso's cycle divisibility, kept as a reference:
+    the first (delta, u) with other_cycle * pi(u) = cycle^delta and u >= 0."""
+    inv = other_cycle.inverse()
+    for delta, power in k0.denominators(budget):
+        u = cone_preimage(power * inv)
+        if u is not None:
+            return delta, u
+    return None
+
+
+def test_cycle_divisibility_is_the_cone_membership_of_the_inverse_cycle():
+    """iso_elementary searches c_a * pi(u) = c_b^delta, u >= 0, as 1/pi(c_a)
+    in K_b^+ (and the mirror).  On the golden iso pairs and seeded pairs in
+    the decide-mixed groups, the cone search finds the reference's (delta, u)
+    exactly when the reference finds one; a norm obstruction, which rules
+    out every index, comes only where the reference finds none."""
+    pairs = [
+        (name, *args[:2])
+        for name, (proc, args) in golden_queries().items()
+        if proc is iso_elementary
+    ]
+    rng = random.Random(61)
+    for factors in DECIDE_MIXED_GROUPS:
+        g = group_new(factors)
+        for i in range(9):
+            a = random_descriptor(rng, g)
+            b = (
+                random_descriptor(rng, g),
+                tensor_elementary(a, random_label(rng, g)),
+                equivalent_presentation(rng, a, rng.choice(PRESENTATION_TRANSFORMS)),
+            )[i % 3]
+            pairs.append((f"random/{factors}/{i}", a, b))
+    kinds, obstructed = Counter(), set()
+    for name, a, b in pairs:
+        ka, kb = k0_realization(a), k0_realization(b)
+        if ka.orbits != kb.orbits:
+            continue
+        for way, k_src, k_other in (("forward", kb, ka), ("backward", ka, kb)):
+            z = k_other.cycle.inverse()
+            ref = _cycle_divisibility_reference(k_src, k_other.cycle, GOLDEN_BUDGET)
+            r = in_positive_cone(k_src, z, GOLDEN_BUDGET)
+            if ref is None:
+                assert r.certificate["kind"] in ("norm-obstruction", "budget-exhausted")
+            else:
+                got = (r.certificate.get("index"), r.certificate.get("witness"))
+                assert r.is_yes and got == (ref[0], elem_payload(ref[1])), name
+            assert verify_cone_certificate(k_src, z, r.verdict, r.certificate)
+            kinds[r.certificate["kind"]] += 1
+            if r.certificate["kind"] == "norm-obstruction":
+                obstructed.add((name, way))
+    assert kinds["member-witness"] >= 100 and kinds["norm-obstruction"] >= 20
+    # the two golden cycle-divisibility unknowns: one side's 1/pi(c) is not
+    # in the other side's K at all, not merely past the budget
+    assert ("iso_elementary/4x2/0", "backward") in obstructed
+    assert ("iso_elementary/3x3/1", "forward") in obstructed
 
 
 def test_iso_elementary_reflexive(klein):
