@@ -579,39 +579,27 @@ def iso_elementary(
         for b in b_list:
             if b * k0a.x0_bar != rhs or supp_orbits(b) != k0a.S:
                 continue
-            verdict = _mutual_cone_equality(k0a, k0b, b, b2, budget, cycles)
-            if verdict is not None:
-                return verdict
+            # base memberships, as the replay checks them: b/b' in K_b^+
+            # (forward) and b'/b in K_a^+ (backward)
+            b_c = project(b, k0a.orbits)
+            b2_c = project(b2, k0a.orbits)
+            fwd = in_positive_cone(k0b, b_c * b2_c.inverse(), budget)
+            if not fwd.is_yes:
+                continue
+            bwd = in_positive_cone(k0a, b2_c * b_c.inverse(), budget)
+            if bwd.is_yes:
+                return TriBool.yes(
+                    {
+                        "kind": "iso-witness",
+                        "b": elem_payload(b),
+                        "b_prime": elem_payload(b2),
+                        "base_forward": fwd.certificate,
+                        "base_backward": bwd.certificate,
+                        **cycles,
+                    }
+                )
     return TriBool.unknown(
         {"kind": "budget-exhausted", "budget": budget, "prime_budget": prime_budget}
-    )
-
-
-def _mutual_cone_equality(
-    k0a: K0Descriptor,
-    k0b: K0Descriptor,
-    b: GroupRingElem,
-    b2: GroupRingElem,
-    budget: int,
-    cycles: dict,
-) -> TriBool | None:
-    b_c = project(b, k0a.orbits)
-    b2_c = project(b2, k0a.orbits)
-    fwd = in_positive_cone(k0b, b_c * b2_c.inverse(), budget)
-    if not fwd.is_yes:
-        return None
-    bwd = in_positive_cone(k0a, b2_c * b_c.inverse(), budget)
-    if not bwd.is_yes:
-        return None
-    return TriBool.yes(
-        {
-            "kind": "iso-witness",
-            "b": elem_payload(b),
-            "b_prime": elem_payload(b2),
-            "base_forward": fwd.certificate,
-            "base_backward": bwd.certificate,
-            **cycles,
-        }
     )
 
 

@@ -8,7 +8,9 @@ gradings; tensor products multiply structure constants.  The graded
 Wedderburn data of a central simple graded algebra is extracted from a
 minimal graded left ideal V and its endomorphism algebra E = End_A(V): E acts
 on the right of V, products in E are reverse composition, so the commutation
-bicharacter of E comes out with the same orientation as the input data.
+bicharacter of E comes out with the same orientation as the input data.  V
+starts as A and shrinks to A*w for a non-invertible w in E, found in E's
+basis or by eigenvalue splitting, until E is graded-division.
 """
 
 from __future__ import annotations
@@ -217,6 +219,8 @@ class FiniteGradedAlgebra:
                     raise ValueError("structure-constant cell out of range")
                 if add_d[deg[j]] != deg[k]:
                     raise ValueError("structure constants violate the grading")
+        if any(not 0 <= i < dim for v in (self.unit, *self.generators) for i in v):
+            raise ValueError("unit or generator key out of range")
         for i in range(self.dim):
             e_i = {i: self.field.one}
             if self.mul(self.unit, e_i) != e_i or self.mul(e_i, self.unit) != e_i:
@@ -493,11 +497,6 @@ class _Module:
                     self.blocks.setdefault(deg, _Echelon()).add(w)
         self.dim = sum(e.dim for e in self.blocks.values())
 
-    def homogeneous_basis(self):
-        for deg in sorted(self.blocks):
-            for row in self.blocks[deg].rows:
-                yield deg, row
-
 
 class _Endo:
     """End_A(V) for cyclic graded V = A*h, with reverse-composition product.
@@ -676,8 +675,19 @@ def _zero_divisor_candidates(endo: _Endo):
 
 
 def _find_zero_divisor(endo: _Endo) -> Vec | None:
-    """A nonzero, non-invertible element of the endo algebra, if we can find
-    one by exact eigenvalue splitting (complete for the validated scope)."""
+    """A nonzero, non-invertible homogeneous element of W = End_A(V), or None
+    when W is graded-division.
+
+    The first non-invertible W basis element in degree order comes first.
+    When every W block is one invertible element, W is graded-division.
+    Otherwise exact eigenvalue splitting of degree-e elements finds one
+    (complete for the validated scope)."""
+    for deg in sorted(endo.w_blocks):
+        for w in endo.w_blocks[deg]:
+            if not endo.is_invertible(w):
+                return w
+    if all(len(vs) == 1 for vs in endo.w_blocks.values()):
+        return None
     field = endo.alg.field
     cap = sum(len(v) for v in endo.w_blocks.values()) + 1
     for u in _zero_divisor_candidates(endo):
@@ -697,47 +707,27 @@ def _find_zero_divisor(endo: _Endo) -> Vec | None:
                 zd = _eval_poly(endo, q, u)
                 if zd and not endo.is_invertible(zd):
                     return zd
-    return None
+    raise RuntimeError(
+        "could not split the endomorphism algebra over this cyclotomic "
+        "field; input outside the validated scope"
+    )
 
 
 def minimal_graded_left_ideal(
     a: FiniteGradedAlgebra,
 ) -> tuple[_Module, _Endo]:
-    """A minimal graded left ideal of a central simple graded algebra,
-    together with its endomorphism algebra."""
+    """A minimal graded left ideal V of a central simple graded algebra A,
+    together with its endomorphism algebra W.
+
+    Starting from V = A, V shrinks to A*w, the image of a nonzero
+    non-invertible w in W, until W is graded-division; A is
+    graded-semisimple, so V is then minimal."""
     mod = _Module(a, dict(a.unit))
     while True:
-        shrunk = False
-        for _deg, v in mod.homogeneous_basis():
-            if len(v) == 1 and a.monomial_invertible(next(iter(v))):
-                continue  # invertible elements generate all of A, never a shrink
-            probe = _Module(a, v)
-            if 0 < probe.dim < mod.dim:
-                mod = probe
-                shrunk = True
-                break
-        if shrunk:
-            continue
         endo = _Endo(a, mod)
-        noninv = None
-        for deg in sorted(endo.w_blocks):
-            for w in endo.w_blocks[deg]:
-                if not endo.is_invertible(w):
-                    noninv = w
-                    break
-            if noninv is not None:
-                break
-        if noninv is not None:
-            mod = _Module(a, noninv)
-            continue
-        if all(len(vs) == 1 for vs in endo.w_blocks.values()):
-            return mod, endo
         zd = _find_zero_divisor(endo)
         if zd is None:
-            raise RuntimeError(
-                "could not split the endomorphism algebra over this cyclotomic "
-                "field; input outside the validated scope"
-            )
+            return mod, endo
         mod = _Module(a, zd)
 
 

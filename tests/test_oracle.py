@@ -34,6 +34,7 @@ from glim.oracle import (
     graded_iso_finite,
     graded_simple_decompose,
     is_central_simple,
+    minimal_graded_left_ideal,
     normalize_coset_multiset,
     observed_tensor_invariant,
     opposite,
@@ -94,20 +95,45 @@ def test_build_matrix_examples(klein, pauli, x_t):
     assert mxt.dim == 16
 
 
+def _matrix_multisets(g):
+    """Multisets of up to 4 terms over g: the two distinct pairs, then
+    multisets with repeated elements."""
+    e, a, b = g.identity, g.element((1, 0)), g.element((0, 1))
+    terms = [{e: 1, a: 1}, {e: 1, b: 1}, {e: 2}, {e: 2, a: 1}, {e: 2, a: 2},
+             {e: 1, a: 1, b: 2}, {b: 4}, {e: 3, b: 1}]
+    return [GroupRingElem.from_dict(g, t) for t in terms]
+
+
+def _assert_minimal_ideal(alg):
+    """The search's postcondition: W is graded-division, each of its blocks
+    one invertible vector."""
+    _mod, endo = minimal_graded_left_ideal(alg)
+    for vecs in endo.w_blocks.values():
+        assert len(vecs) == 1
+        assert endo.is_invertible(vecs[0])
+
+
 @pytest.mark.parametrize("factors", [(2, 2), (4, 2), (3, 3)])
 def test_build_matrix_over_division_classes(factors):
     g = group_new(list(factors))
     for cls in enumerate_division_classes(g):
         qgroup, alpha = quotient(g, cls.support)
-        for gen in (g.element((1, 0)), g.element((0, 1))):
-            x = GroupRingElem.from_dict(g, {g.identity: 1, gen: 1})
+        for x in _matrix_multisets(g):
+            if x.size() ** 2 * cls.support.order > 64:
+                continue
             alg = build_matrix(x, cls)
-            assert alg.dim == 4 * cls.support.order
+            assert alg.dim == x.size() ** 2 * cls.support.order
             inv = graded_simple_decompose(alg)
             assert inv.support == cls.support
             assert inv.bichar == cls.bichar
             cosets = pushforward(x, qgroup, alpha)
             assert inv.coset_multiset == normalize_coset_multiset(cosets)
+            _assert_minimal_ideal(alg)
+
+
+def test_minimal_ideal_endomorphisms_are_graded_division():
+    for alg in _sample_algebras():
+        _assert_minimal_ideal(alg)
 
 
 def _reference_normalize(qgroup, counts: Counter) -> tuple:
@@ -354,6 +380,16 @@ def test_row_key_past_the_dimension_is_rejected(klein_full):
     alg = _klein_twisted(klein_full)
     with pytest.raises(ValueError, match="key out of range"):
         _with_extra_row(alg, alg.dim)
+
+
+def test_unit_and_generator_keys_out_of_range_are_rejected(klein_full):
+    alg = _klein_twisted(klein_full)
+    one = alg.field.one
+    for bad in (alg.dim, -1):
+        with pytest.raises(ValueError, match="unit or generator key out of range"):
+            FiniteGradedAlgebra(alg.group, alg.degrees, alg.rows, {bad: one})
+        with pytest.raises(ValueError, match="unit or generator key out of range"):
+            FiniteGradedAlgebra(alg.group, alg.degrees, alg.rows, alg.unit, ({bad: one},))
 
 
 def test_cell_in_the_wrong_degree_is_rejected():
