@@ -40,7 +40,7 @@ from .divalg import (
 from .groupring import GroupRingElem, pushforward
 
 DIM_CAP = 4096
-ASSOC_CHECK_DIM = 64
+ASSOC_CHECK_DIM = 256
 
 
 def oracle_conductor(group: FinAbGroup) -> int:
@@ -172,9 +172,11 @@ class FiniteGradedAlgebra:
 
     ``rows[i][j] = (k, e)`` means basis_i * basis_j = r^e * basis_k, with
     ``roots[e] = r^e`` the roots of unity of the field; missing pairs multiply
-    to zero.  The rows are kept as given, not copied.  Indices, exponents and
-    grading compatibility are checked on construction; up to dimension 64
-    associativity is also checked exactly on all basis triples.
+    to zero.  The rows are kept as given, not copied.  Indices, exponents,
+    grading compatibility and the generators (they must reach every basis
+    index) are checked on construction; up to dimension 256 associativity is
+    also checked exactly, on the basis triples whose left factor lies in the
+    support of the unit or of a generator.
 
     Internally a degree is its index in ``group.elements()`` (``deg_index``;
     a degree of another group is an error), combined through the group's
@@ -225,14 +227,45 @@ class FiniteGradedAlgebra:
             e_i = {i: self.field.one}
             if self.mul(self.unit, e_i) != e_i or self.mul(e_i, self.unit) != e_i:
                 raise ValueError("unit coordinates are wrong")
+        left = self._generating_indices()
         if self.dim <= ASSOC_CHECK_DIM:
-            self._check_associativity()
+            self._check_associativity(left)
 
-    def _check_associativity(self):
-        """Exact check on all basis triples.  A product e_i e_j = r^a e_t is
-        the integer t*m + a, with m the order of the roots of unity, and -1
-        for a zero product; (e_i e_j) e_k and e_i (e_j e_k) must be equal
-        integers for every k."""
+    def _generating_indices(self) -> list[int]:
+        """The basis indices I in the supports of the unit and the generators,
+        ascending, once left products e_i e_r with i in I, starting from I,
+        have reached every basis index.  In an associative algebra every
+        product of the generators is a combination of the basis elements
+        these products reach, so generators that miss an index cannot
+        generate the algebra."""
+        left = sorted({i for v in (self.unit, *self.generators) for i in v})
+        reached = set(left)
+        frontier = list(left)
+        left_rows = [self.rows[i] for i in left]
+        while frontier and len(reached) < self.dim:
+            r = frontier.pop()
+            for row in left_rows:
+                cell = row.get(r)
+                if cell and cell[0] not in reached:
+                    reached.add(cell[0])
+                    frontier.append(cell[0])
+        if len(reached) < self.dim:
+            raise ValueError("the generators do not generate the algebra")
+        return left
+
+    def _check_associativity(self, left: list[int]):
+        """Exact check on the basis triples (i, j, k) with i in ``left``.
+
+        That is enough when left products e_i e_r, i in ``left``, reach every
+        basis index from ``left`` (``_generating_indices``).  The elements x
+        with (xy)z = x(yz) for all y, z form a subspace L.  The check puts
+        each e_i in L, and L is closed under x -> e_i x: for x in L,
+        ((e_i x)y)z = (e_i(xy))z = e_i((xy)z) = e_i(x(yz)) = (e_i x)(yz).  So
+        L holds every basis element the left products reach, and L = A.
+
+        A product e_i e_j = r^a e_t is the integer t*m + a, with m the order
+        of the roots of unity, and -1 for a zero product; (e_i e_j) e_k and
+        e_i (e_j e_k) must be equal integers for every k."""
         m = len(self.roots)
         dim = self.dim
         # prod[i][j] encodes e_i e_j; the extra last row and column stay -1,
@@ -246,7 +279,7 @@ class FiniteGradedAlgebra:
         shift = [[c - c % m + (c + a) % m for c in codes] + [-1] for a in range(m)]
         # code = t*m + b as the pair (t, shift[b]); -1 gives (-1, shift[m - 1])
         split = [[(c // m, shift[c % m]) for c in row] for row in prod]
-        for i in range(dim):
+        for i in left:
             row_i = prod[i]
             for j in range(dim):
                 # (e_i e_j) e_k = r^a e_t e_k; e_i (e_j e_k) = r^b e_i e_u
@@ -345,7 +378,9 @@ def build_twisted(bichar: Bicharacter) -> FiniteGradedAlgebra:
     The cocycle is the lower-triangular bimultiplicative splitting over the
     canonical basis, which realizes exactly the requested commutation values
     (asserted through the construction-time associativity check and the
-    round-trip tests, not trusted).
+    round-trip tests, not trusted).  The generators are the basis elements of
+    the canonical generators (the unit for the trivial subgroup), so the
+    check runs on their rows and the unit's only.
     """
     sub = bichar.subgroup
     G = sub.parent
@@ -452,7 +487,8 @@ def opposite(a: FiniteGradedAlgebra) -> FiniteGradedAlgebra:
 
 
 def center_dimension(a: FiniteGradedAlgebra) -> int:
-    """Dimension of the center, via commutation with the stored generators."""
+    """Dimension of the center, via commutation with the stored generators
+    (the constructor refuses generators whose products miss a basis element)."""
     # unknowns: coefficients z_k; constraints: z*g - g*z = 0 per generator,
     # where e_k*g is a row product and g*e_k reads column k of g's rows
     rows: dict = {}

@@ -329,6 +329,97 @@ def test_product_zero_in_one_bracketing_only_fails_associativity(klein_full):
         FiniteGradedAlgebra(alg.group, alg.degrees, rows, alg.unit)
 
 
+def test_generators_that_cannot_generate_are_rejected(klein_full):
+    # the Pauli algebra is central simple, so the unit alone or one of its two
+    # generators would read a center of dimension 4 or 2
+    alg = build_twisted(Bicharacter.from_exponents(klein_full, [[0, 1], [1, 0]]))
+    assert len(alg.generators) == 2
+    for gens in [(alg.unit,), alg.generators[:1], alg.generators[1:]]:
+        with pytest.raises(ValueError, match="the generators do not generate the algebra"):
+            FiniteGradedAlgebra(alg.group, alg.degrees, alg.rows, alg.unit, gens)
+
+
+def test_each_generator_row_is_checked(klein_full):
+    # -1 on the cells (g, gh) and (gh, gh) of the commutative Klein group
+    # algebra breaks associativity only for the left factors g and gh, so
+    # only the row of g among the unit's and the generators' finds it
+    alg = build_twisted(Bicharacter.trivial(klein_full))
+    gens = [min(v) for v in alg.generators]
+    assert sorted([*alg.unit, *gens]) == [0, 1, 2]
+    m = len(alg.roots)
+    for g, h in (gens, gens[::-1]):
+        gh = alg.rows[g][h][0]
+        rows = _copy_rows(alg)
+        for i in (g, gh):
+            k, e = rows[i][gh]
+            rows[i][gh] = (k, (e + m // 2) % m)
+        with pytest.raises(ValueError, match=rf"associativity fails on basis triple \({g},"):
+            FiniteGradedAlgebra(alg.group, alg.degrees, rows, alg.unit, alg.generators)
+
+
+def _perturbation_algebras():
+    """The sample algebras plus catalog opposites, tensors and matrix
+    algebras, of dimension at most 81."""
+    algs = _sample_algebras()
+    for factors in [(2, 2), (4, 2), (3, 3), (4, 4)]:
+        g = group_new(list(factors))
+        pair, _, _, triple = _matrix_multisets(g)[:4]
+        algs.append(build_matrix(triple))
+        classes = enumerate_division_classes(g)[1:3]
+        first = build_twisted(classes[0].bichar)
+        for cls in classes:
+            d = build_twisted(cls.bichar)
+            algs += [opposite(d), tensor(d, opposite(first)), build_matrix(pair, cls)]
+    return algs
+
+
+def _perturbed_rows(alg, rng):
+    """alg's rows with one random cell changed: its exponent shifted, or its
+    target moved to another basis element of the same degree."""
+    rows = _copy_rows(alg)
+    i = rng.randrange(alg.dim)
+    j = rng.choice(sorted(rows[i]))
+    k, e = rows[i][j]
+    same_degree = [t for t in range(alg.dim)
+                   if t != k and alg.deg_index[t] == alg.deg_index[k]]
+    if same_degree and rng.random() < 0.5:
+        rows[i][j] = (rng.choice(same_degree), e)
+    else:
+        rows[i][j] = (k, (e + rng.randrange(1, len(alg.roots))) % len(alg.roots))
+    return rows
+
+
+def _rejects(alg, rows, generators):
+    try:
+        FiniteGradedAlgebra(alg.group, alg.degrees, rows, alg.unit, generators)
+    except ValueError:
+        return True
+    return False
+
+
+def test_generator_rows_check_decides_like_the_all_rows_check():
+    for alg in _sample_algebras():
+        if alg.dim >= 16:
+            assert len(alg._generating_indices()) < alg.dim
+    rng = random.Random(29)
+    for alg in _perturbation_algebras():
+        for _ in range(30):
+            rows = _perturbed_rows(alg, rng)
+            assert _rejects(alg, rows, alg.generators) == _rejects(alg, rows, None)
+
+
+def test_perturbed_constant_in_dimension_256_fails_associativity():
+    g = group_new([4, 4])
+    big = build_twisted(next(
+        c for c in enumerate_division_classes(g) if c.support.order == 16).bichar)
+    alg = tensor(big, opposite(big))
+    assert alg.dim == 256
+    rows = _copy_rows(alg)
+    rows[5][9] = _times_r(alg, alg.rows[5].get(9))
+    with pytest.raises(ValueError, match="associativity fails"):
+        FiniteGradedAlgebra(alg.group, alg.degrees, rows, alg.unit, alg.generators)
+
+
 def test_cell_with_index_out_of_range_is_rejected():
     alg = _twisted_z42()
     for bad_index in (-1, alg.dim):
