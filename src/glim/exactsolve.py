@@ -1,8 +1,9 @@
 """Exact integer and rational linear algebra kernels.
 
-Everything here runs over Python ints and Fractions: Smith/Hermite normal
-forms for lattice questions, a phase-I simplex over exact rationals, and a
-complete branch-and-bound for nonnegative integer feasibility.  The
+Everything here runs over Python ints: Smith/Hermite normal forms for
+lattice questions, a fraction-free phase-I simplex, and a complete
+branch-and-bound for nonnegative integer feasibility.  ``Fraction`` appears
+only in the points that ``lp_feasible`` and ``rational_solve`` return.  The
 branch-and-bound is made terminating by the Borosh-Treybig bound: if
 ``A x = b`` has a solution in nonnegative integers it has one whose entries
 are at most ``(ncols+1) * D`` where ``D`` bounds the subdeterminants of the
@@ -226,51 +227,52 @@ def rational_solve(rows, b) -> tuple[str, list[Fraction] | None]:
 
 
 def lp_feasible(
-    rows: list[list[Fraction]],
-    b: list[Fraction],
-    upper: list[Fraction | None],
+    rows: list[list[int]],
+    b: list[int],
+    upper: list[int | None],
 ) -> tuple[bool, list[Fraction] | None]:
-    """Exact phase-I simplex for {A x = b, 0 <= x, x_i <= upper_i}.
+    """Exact phase-I simplex for {A x = b, 0 <= x, x_i <= upper_i}, all ints.
 
-    Returns (feasible, x) with x a basic feasible point when feasible.
-    Bland's rule guarantees termination.
+    Returns (feasible, x) with x a basic feasible point when feasible; a
+    negative upper bound is an empty box.  Bland's rule guarantees
+    termination.
+
+    The tableau is fraction-free (Edmonds' integer-preserving pivots; Bareiss,
+    Math. Comp. 22, 1968): it holds den times the rational tableau, where
+    den > 0 is the last pivot (1 at the start).  A pivot maps every other
+    row, objective included, to (row*piv - row[enter]*T[leave]) // den and
+    then sets den = piv.  The division is exact because each entry is a minor
+    of the initial integer matrix; signs and cross-multiplied ratios are the
+    rational tableau's, so the same bases are visited.
     """
+    if any(u is not None and u < 0 for u in upper):
+        return False, None
     n = len(upper)
-    eq_rows = [list(r) for r in rows]
-    eq_b = list(b)
-    for i in range(len(eq_rows)):
-        if eq_b[i] < 0:
-            eq_rows[i] = [-x for x in eq_rows[i]]
-            eq_b[i] = -eq_b[i]
     bound_idx = [i for i in range(n) if upper[i] is not None]
-    m_eq = len(eq_rows)
-    m_bd = len(bound_idx)
-    m = m_eq + m_bd
-    nslack = m_bd
-    nart = m_eq
-    width = n + nslack + nart
-    T = [[Fraction(0)] * (width + 1) for _ in range(m)]
+    m_eq = len(rows)
+    nslack = len(bound_idx)
+    m = m_eq + nslack
+    width = n + nslack + m_eq
+    T = [[0] * (width + 1) for _ in range(m)]
     basis = [0] * m
     for i in range(m_eq):
-        for j in range(n):
-            T[i][j] = eq_rows[i][j]
-        T[i][n + nslack + i] = Fraction(1)
-        T[i][width] = eq_b[i]
+        sign = -1 if b[i] < 0 else 1
+        T[i][:n] = [sign * x for x in rows[i]]
+        T[i][n + nslack + i] = 1
+        T[i][width] = sign * b[i]
         basis[i] = n + nslack + i
     for r, i in enumerate(bound_idx):
         row = m_eq + r
-        T[row][i] = Fraction(1)
-        T[row][n + r] = Fraction(1)
-        T[row][width] = Fraction(upper[i])
+        T[row][i] = 1
+        T[row][n + r] = 1
+        T[row][width] = upper[i]
         basis[row] = n + r
     # objective: minimize sum of artificials -> reduced row = sum of eq rows
-    z = [Fraction(0)] * (width + 1)
-    for i in range(m_eq):
-        for j in range(width + 1):
-            z[j] += T[i][j]
+    z = [sum(T[i][j] for i in range(m_eq)) for j in range(width + 1)]
     for j in range(n + nslack, width):
-        z[j] = Fraction(0)
+        z[j] = 0
 
+    den = 1
     while True:
         enter = None
         for j in range(n + nslack):  # artificials never re-enter
@@ -280,27 +282,24 @@ def lp_feasible(
         if enter is None:
             break
         leave = None
-        best = None
         for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][width] / T[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
+            # Bland: least ratio T[i][width] / T[i][enter], then least basis[i]
+            if T[i][enter] > 0 and (leave is None or (
+                T[i][width] * T[leave][enter], basis[i]
+            ) < (T[leave][width] * T[i][enter], basis[leave])):
+                leave = i
         if leave is None:
             # unbounded in phase I cannot happen (objective bounded below by 0)
             raise RuntimeError("phase-I simplex reported unbounded")
-        piv = T[leave][enter]
-        T[leave] = [x / piv for x in T[leave]]
+        top = T[leave]
+        piv = top[enter]
         for i in range(m):
-            if i != leave and T[i][enter]:
+            if i != leave:
                 f = T[i][enter]
-                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
-        if z[enter]:
-            f = z[enter]
-            z = [x - f * y for x, y in zip(z, T[leave])]
+                T[i] = [(x * piv - f * y) // den for x, y in zip(T[i], top)]
+        f = z[enter]
+        z = [(x * piv - f * y) // den for x, y in zip(z, top)]
+        den = piv
         basis[leave] = enter
 
     if z[width] != 0:
@@ -308,7 +307,7 @@ def lp_feasible(
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = T[i][width]
+            x[basis[i]] = Fraction(T[i][width], den)
     return True, x
 
 
@@ -340,30 +339,15 @@ def nonneg_integer_solve(rows, b: list[int], smith) -> list[int] | None:
         return x if all(v >= 0 for v in x) else None
 
     cap = _borosh_treybig_cap(rows, b)
-    frac_rows = [[Fraction(v) for v in r] for r in rows]
-
-    def node_feasible(lo: list[int], hi: list[int | None]):
-        shifted_b = [
-            Fraction(b[i]) - sum(Fraction(rows[i][j]) * lo[j] for j in range(n))
-            for i in range(len(rows))
-        ]
-        upper = [
-            None if hi[j] is None else Fraction(hi[j] - lo[j]) for j in range(n)
-        ]
-        ok, y = lp_feasible(frac_rows, shifted_b, upper)
-        if not ok:
-            return None
-        assert y is not None
-        return [lo[j] + y[j] for j in range(n)]
-
     stack: list[tuple[list[int], list[int | None]]] = [([0] * n, [None] * n)]
     while stack:
         lo, hi = stack.pop()
-        if any(hi[j] is not None and lo[j] > hi[j] for j in range(n)):
+        shifted_b = [v - sum(map(mul, r, lo)) for r, v in zip(rows, b)]
+        upper = [None if h is None else h - l for l, h in zip(lo, hi)]
+        ok, y = lp_feasible(rows, shifted_b, upper)
+        if not ok:
             continue
-        x = node_feasible(lo, hi)
-        if x is None:
-            continue
+        x = [l + v for l, v in zip(lo, y)]
         frac_j = None
         for j in range(n):
             if x[j].denominator != 1:
@@ -371,18 +355,15 @@ def nonneg_integer_solve(rows, b: list[int], smith) -> list[int] | None:
                 break
         if frac_j is None:
             return [int(v) for v in x]
+        # x >= lo >= 0, so the fractional coordinate f is positive
         f = x[frac_j]
         lo_up = list(lo)
-        lo_up[frac_j] = max(lo[frac_j], int(f) + 1)
+        lo_up[frac_j] = int(f) + 1
         hi_up = list(hi)
         if hi_up[frac_j] is None:
             hi_up[frac_j] = cap
         hi_dn = list(hi)
         hi_dn[frac_j] = int(f)
-        if f > 0:
-            stack.append((lo_up, hi_up))
-            stack.append((list(lo), hi_dn))
-        else:
-            stack.append((list(lo), hi_dn))
-            stack.append((lo_up, hi_up))
+        stack.append((lo_up, hi_up))
+        stack.append((lo, hi_dn))
     return None

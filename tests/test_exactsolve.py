@@ -86,12 +86,127 @@ def test_rational_solve_modes():
 
 
 def test_lp_feasible_simple():
-    ok, x = lp_feasible([[Fraction(1), Fraction(1)]], [Fraction(3)], [None, None])
+    ok, x = lp_feasible([[1, 1]], [3], [None, None])
     assert ok and x[0] + x[1] == 3 and all(v >= 0 for v in x)
-    ok, _ = lp_feasible([[Fraction(1)]], [Fraction(-2)], [None])
+    ok, _ = lp_feasible([[1]], [-2], [None])
     assert not ok
-    ok, _ = lp_feasible([[Fraction(1)]], [Fraction(5)], [Fraction(4)])
+    ok, _ = lp_feasible([[1]], [5], [4])
     assert not ok
+
+
+def test_lp_feasible_empty_box():
+    # a negative upper bound leaves no point, with or without equality rows
+    assert lp_feasible([], [], [-3]) == (False, None)
+    assert lp_feasible([], [], [None, 2, -1]) == (False, None)
+    assert lp_feasible([[1, 1]], [0], [None, -1]) == (False, None)
+    assert lp_feasible([], [], [0]) == (True, [0])
+
+
+def _fraction_lp_feasible(
+    rows: list[list[Fraction]],
+    b: list[Fraction],
+    upper: list[Fraction | None],
+) -> tuple[bool, list[Fraction] | None]:
+    """The phase-I simplex on a tableau of Fractions, with the same Bland
+    rule as ``lp_feasible``: the reference its fraction-free tableau must
+    match."""
+    n = len(upper)
+    eq_rows = [list(r) for r in rows]
+    eq_b = list(b)
+    for i in range(len(eq_rows)):
+        if eq_b[i] < 0:
+            eq_rows[i] = [-x for x in eq_rows[i]]
+            eq_b[i] = -eq_b[i]
+    bound_idx = [i for i in range(n) if upper[i] is not None]
+    m_eq = len(eq_rows)
+    m_bd = len(bound_idx)
+    m = m_eq + m_bd
+    nslack = m_bd
+    nart = m_eq
+    width = n + nslack + nart
+    T = [[Fraction(0)] * (width + 1) for _ in range(m)]
+    basis = [0] * m
+    for i in range(m_eq):
+        for j in range(n):
+            T[i][j] = eq_rows[i][j]
+        T[i][n + nslack + i] = Fraction(1)
+        T[i][width] = eq_b[i]
+        basis[i] = n + nslack + i
+    for r, i in enumerate(bound_idx):
+        row = m_eq + r
+        T[row][i] = Fraction(1)
+        T[row][n + r] = Fraction(1)
+        T[row][width] = Fraction(upper[i])
+        basis[row] = n + r
+    # objective: minimize sum of artificials -> reduced row = sum of eq rows
+    z = [Fraction(0)] * (width + 1)
+    for i in range(m_eq):
+        for j in range(width + 1):
+            z[j] += T[i][j]
+    for j in range(n + nslack, width):
+        z[j] = Fraction(0)
+
+    while True:
+        enter = None
+        for j in range(n + nslack):  # artificials never re-enter
+            if z[j] > 0:
+                enter = j
+                break
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if T[i][enter] > 0:
+                ratio = T[i][width] / T[i][enter]
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            # unbounded in phase I cannot happen (objective bounded below by 0)
+            raise RuntimeError("phase-I simplex reported unbounded")
+        piv = T[leave][enter]
+        T[leave] = [x / piv for x in T[leave]]
+        for i in range(m):
+            if i != leave and T[i][enter]:
+                f = T[i][enter]
+                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
+        if z[enter]:
+            f = z[enter]
+            z = [x - f * y for x, y in zip(z, T[leave])]
+        basis[leave] = enter
+
+    if z[width] != 0:
+        return False, None
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = T[i][width]
+    return True, x
+
+
+def test_lp_feasible_matches_the_fraction_tableau():
+    # the fraction-free pivots visit the bases of the Fraction tableau, so
+    # feasibility and the returned vertex are equal on every system
+    rng = random.Random(30)
+    feasible = 0
+    for _ in range(2500):
+        m = rng.randint(0, 4)
+        n = rng.randint(1, 6)
+        A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        b = [rng.randint(-8, 8) for _ in range(m)]
+        upper = [rng.choice([None, rng.randint(0, 5)]) for _ in range(n)]
+        got = lp_feasible(A, b, upper)
+        want = _fraction_lp_feasible(
+            [[Fraction(v) for v in r] for r in A],
+            [Fraction(v) for v in b],
+            [None if u is None else Fraction(u) for u in upper],
+        )
+        assert got == want, (A, b, upper)
+        feasible += got[0]
+    assert 500 < feasible < 2000
 
 
 def _full_column_rank_systems(rng, count):

@@ -1,10 +1,11 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from glim import limits
+from glim import exactsolve, limits
 from glim.abelian import GroupElem, Subgroup, group_new
 from glim.codec import elem_payload
 from glim.cyclotomic import get_field
@@ -49,6 +50,7 @@ from conftest import (
 )
 from test_derive_once import DECIDE_MIXED_GROUPS
 from test_golden import BUDGET as GOLDEN_BUDGET
+from test_golden import _verdict as canonical_verdict
 from test_golden import golden_queries
 
 
@@ -636,6 +638,29 @@ def test_iso_symmetry_on_corpus(klein):
         v21 = iso_elementary(d2, d1, 5)
         if v12.is_certified and v21.is_certified:
             assert v12.verdict == v21.verdict
+
+
+# sha256 over the canonical JSON lines (as in golden.json) of the verdicts
+# and certificates of the pairs below; the Fraction-tableau simplex that
+# tests/test_exactsolve.py keeps as the reference gives the same
+ORDER_64_ISO_SHA256 = "941a06b403d8d58c699ca48f55bc68a14ffc7159933f1c61e2cace33b1b366e5"
+
+
+def test_iso_against_a_matrix_factor_twin_on_order_64_groups(count_calls):
+    # (a, a(x)m) on Z8xZ8 and Z4^3 at budgets 8/7: the cone memberships of
+    # these queries run the branch-and-bound's simplex, so any change to a
+    # vertex it returns shows in a witness
+    lp_calls = count_calls(exactsolve, "lp_feasible")
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    for factors in ([8, 8], [4, 4, 4]):
+        g = group_new(factors)
+        for _ in range(12):
+            a = random_descriptor(rng, g)
+            r = iso_elementary(a, tensor_elementary(a, random_label(rng, g)), 8, 7)
+            digest.update(canonical_verdict(r).encode() + b"\n")
+    assert lp_calls[0] > 0
+    assert digest.hexdigest() == ORDER_64_ISO_SHA256
 
 
 def test_cancellation_sanity(klein, trivial_group):
