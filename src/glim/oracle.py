@@ -9,8 +9,9 @@ Wedderburn data of a central simple graded algebra is extracted from a
 minimal graded left ideal V and its endomorphism algebra E = End_A(V): E acts
 on the right of V, products in E are reverse composition, so the commutation
 bicharacter of E comes out with the same orientation as the input data.  V
-starts as A and shrinks to A*w for a non-invertible w in E, found in E's
-basis or by eigenvalue splitting, until E is graded-division.
+starts as A and shrinks to A*w, for a zero divisor w split off E's identity
+block E_e by one root of a minimal polynomial, until dim E_e = 1, which is
+when E is graded-division.
 """
 
 from __future__ import annotations
@@ -201,7 +202,6 @@ class FiniteGradedAlgebra:
         if generators is None:
             generators = tuple({i: self.field.one} for i in range(self.dim))
         self.generators = tuple(dict(g) for g in generators)
-        self._mono_inv: dict[int, bool] = {}
         # a degree of another group, or with unreduced coordinates, has no index
         index = _element_index(group)
         deg = [index.get(d.coords) if d.group == group else None for d in degrees]
@@ -332,26 +332,6 @@ class FiniteGradedAlgebra:
             elif self.deg_index[k] != deg:
                 raise ValueError("vector is not homogeneous")
         return deg
-
-    def monomial_invertible(self, i: int) -> bool:
-        """Exact invertibility of a basis element."""
-        cached = self._mono_inv
-        if i in cached:
-            return cached[i]
-        ok = True
-        seen = set()
-        for row in self.rows:
-            cell = row.get(i)
-            if not cell:
-                ok = False
-                break
-            k = cell[0]
-            if k in seen:
-                ok = False
-                break
-            seen.add(k)
-        cached[i] = ok
-        return ok
 
     def basis_vec(self, i: int) -> Vec:
         return {i: self.field.one}
@@ -595,67 +575,6 @@ class _Endo:
         """Reverse-composition product, evaluated at h."""
         return self.alg.mul(self.preimage(w1), w2)
 
-    def _scalar_of(self, w: Vec) -> CycNum | None:
-        ident = self.identity
-        key = min(ident.keys())
-        if key not in w:
-            return None
-        lam = w[key] / ident[key]
-        scaled = _vec_scale(ident, lam)
-        return lam if scaled == w else None
-
-    def is_invertible(self, w: Vec) -> bool:
-        if len(w) == 1 and self.alg.monomial_invertible(next(iter(w))):
-            return True
-        probe = _Module(self.alg, w)
-        return probe.dim == self.mod.dim
-
-    def inverse(self, w: Vec) -> Vec:
-        """Solve product(w, w') = identity for w' in W."""
-        a_w = self.preimage(w)
-        basis = [v for vs in self.w_blocks.values() for v in vs]
-        ech = _Echelon(self.alg.field)
-        for j, v in enumerate(basis):
-            ech.add(self.alg.mul(a_w, v), j)
-        return _vec_combine(ech.express(self.identity), basis)
-
-
-def _root_candidates(field, coeffs: list[CycNum]):
-    """Candidate roots in the field: +-roots of unity and rational roots."""
-    n = field.n
-    for k in range(n):
-        yield field.zeta(k)
-        yield -field.zeta(k)
-    if all(c.is_rational for c in coeffs):
-        lead = coeffs[-1].as_rational()
-        const = coeffs[0].as_rational()
-        if const == 0:
-            yield field.zero
-        elif lead != 0:
-            num = abs(const.numerator * lead.denominator)
-            den = abs(const.denominator * lead.numerator)
-            for p in _divisors(num):
-                for q in _divisors(den):
-                    yield field.scalar(Fraction(p, q))
-                    yield field.scalar(Fraction(-p, q))
-
-
-def _divisors(v: int) -> list[int]:
-    """The positive divisors of |v| in ascending order ([1] for 0), found in
-    pairs up to the square root."""
-    v = abs(v)
-    if v == 0:
-        return [1]
-    low, high = [], []
-    d = 1
-    while d * d <= v:
-        if v % d == 0:
-            low.append(d)
-            if d * d != v:
-                high.append(v // d)
-        d += 1
-    return low + high[::-1]
-
 
 def _min_poly(endo: _Endo, w: Vec, cap: int) -> list[CycNum]:
     """Minimal polynomial coefficients (ascending) of w in the endo algebra."""
@@ -692,57 +611,32 @@ def _poly_deflate(coeffs: list[CycNum], root: CycNum) -> list[CycNum]:
     return list(out)
 
 
-def _zero_divisor_candidates(endo: _Endo):
-    """Degree-e endo elements worth eigensplitting, lazily."""
-    ident_deg = endo.mod.h_deg
-    for w in endo.w_blocks.get(ident_deg, []):
-        if endo._scalar_of(w) is None:
-            yield w
-    for deg in sorted(endo.w_blocks):
-        vecs = endo.w_blocks[deg]
-        if deg == ident_deg or len(vecs) < 2:
-            continue
-        for i in range(len(vecs)):
-            for j in range(len(vecs)):
-                if i != j:
-                    u = endo.product(vecs[i], endo.inverse(vecs[j]))
-                    if endo._scalar_of(u) is None:
-                        yield u
-
-
 def _find_zero_divisor(endo: _Endo) -> Vec | None:
-    """A nonzero, non-invertible homogeneous element of W = End_A(V), or None
-    when W is graded-division.
+    """A nonzero, non-invertible element of W = End_A(V) in its identity block
+    W_e, or None when W is graded-division.
 
-    The first non-invertible W basis element in degree order comes first.
-    When every W block is one invertible element, W is graded-division.
-    Otherwise exact eigenvalue splitting of degree-e elements finds one
-    (complete for the validated scope)."""
-    for deg in sorted(endo.w_blocks):
-        for w in endo.w_blocks[deg]:
-            if not endo.is_invertible(w):
-                return w
-    if all(len(vs) == 1 for vs in endo.w_blocks.values()):
+    W is graded-simple, so W = M_k(D) for a graded-division D, with k
+    orthogonal idempotents in W_e; W is graded-division exactly when
+    dim W_e = 1.  Otherwise some u in W_e's basis is not a scalar, so its
+    minimal polynomial p has degree at least 2.  For a root r of p in the
+    field, p = (x - r) q with deg q < deg p, so q(u) != 0, while
+    q(u) (u - r) = p(u) = 0: q(u) is a zero divisor, hence not invertible,
+    and A*q(u) is a nonzero proper submodule of V.  The roots tried are the
+    field's roots of unity and 0 (complete for the validated scope)."""
+    ws = endo.w_blocks[endo.mod.h_deg]
+    if len(ws) == 1:
         return None
     field = endo.alg.field
-    cap = sum(len(v) for v in endo.w_blocks.values()) + 1
-    for u in _zero_divisor_candidates(endo):
-        p = _min_poly(endo, u, cap)
+    for u in ws:
+        p = _min_poly(endo, u, len(ws))
         if len(p) <= 2:
             continue
-        seen: set = set()
-        for root in _root_candidates(field, p):
-            if root in seen:
-                continue
-            seen.add(root)
+        for root in (*endo.alg.roots, field.zero):
             val = field.zero
             for c in reversed(p):
                 val = val * root + c
             if val.is_zero:
-                q = _poly_deflate(p, root)
-                zd = _eval_poly(endo, q, u)
-                if zd and not endo.is_invertible(zd):
-                    return zd
+                return _eval_poly(endo, _poly_deflate(p, root), u)
     raise RuntimeError(
         "could not split the endomorphism algebra over this cyclotomic "
         "field; input outside the validated scope"

@@ -4,9 +4,11 @@ agreement of the two division-absorption formulations."""
 
 import random
 
-from glim.abelian import group_new
+import pytest
+
+from glim.abelian import quotient, group_new
 from glim.divalg import enumerate_division_classes
-from glim.groupring import subgroup_sum
+from glim.groupring import GroupRingElem, pushforward, subgroup_sum
 from glim.limits import (
     LimitDescriptor,
     absorbs,
@@ -16,6 +18,13 @@ from glim.limits import (
     scaling_invertible,
     standard_form,
     tensor_elementary,
+    verify_general_iso_certificate,
+)
+from glim.oracle import (
+    build_matrix,
+    graded_iso_finite,
+    graded_simple_decompose,
+    normalize_coset_multiset,
 )
 
 from conftest import (
@@ -258,3 +267,49 @@ def test_absorbs_agrees_on_isomorphic_limits():
             assert verdicts != {"yes", "no"}, (a, b, cls)
             compared += "unknown" not in verdicts
     assert compared >= 24  # 31 of the 36 pairs are `yes`, all 31 certified both ways
+
+
+def _finite_type(rng, g, classes):
+    """M(x0) (x) D as a limit: a one-element cycle of multiplicity 1, a random
+    division class D and a random x0 with dim M(x0) (x) D at most 64."""
+    while True:
+        cls = rng.choice(classes)
+        x0 = random_label(rng, g, max_terms=3, max_mult=2)
+        if x0.size() ** 2 * cls.support.order <= 64:
+            return LimitDescriptor(g, x0, (), (_one_element(rng, g),), cls)
+
+
+def _one_element(rng, g):
+    return GroupRingElem.from_dict(g, {rng.choice(g.elements()): 1})
+
+
+@pytest.mark.parametrize("factors", DECIDE_MIXED_GROUPS)
+def test_general_iso_of_finite_type_limits_matches_the_oracle(factors):
+    # a limit whose cycle is one group element is the finite-dimensional
+    # M(x0) (x) D, so the oracle's explicit decomposition decides its graded
+    # isomorphism independently of the Brauer reduction in iso_general.  About
+    # 40 % of the pairs are a translated twin: the same class and a translated
+    # x0 behind another cycle element.  The oracle's coset multiset is the
+    # normalized pushforward of x0 (not of the realized x0 bar) to G/T.
+    rng = random.Random(str(factors))
+    g = group_new(factors)
+    classes = enumerate_division_classes(g)
+    yes = 0
+    for _ in range(40):
+        a = _finite_type(rng, g, classes)
+        if rng.random() < 0.4:
+            x0 = a.x0.translate(rng.choice(g.elements()))
+            b = LimitDescriptor(g, x0, (), (_one_element(rng, g),), a.division)
+        else:
+            b = _finite_type(rng, g, classes)
+        r = iso_general(a, b, 8, 7)
+        alg_a = build_matrix(a.x0, a.division)
+        truth = graded_iso_finite(alg_a, build_matrix(b.x0, b.division))
+        assert r.is_certified, (a, b, r.certificate)
+        assert (r.verdict == "yes") == truth, (a, b)
+        assert verify_general_iso_certificate(a, b, r.verdict, r.certificate)
+        qgroup, image = quotient(g, a.division.support)
+        want = normalize_coset_multiset(pushforward(a.x0, qgroup, image))
+        assert graded_simple_decompose(alg_a).coset_multiset == want
+        yes += truth
+    assert 0 < yes < 40

@@ -24,6 +24,7 @@ from glim.oracle import (
     _Echelon,
     _Endo,
     _Module,
+    _find_zero_divisor,
     _poly_deflate,
     _vec_combine,
     build_matrix,
@@ -105,12 +106,27 @@ def _matrix_multisets(g):
 
 
 def _assert_minimal_ideal(alg):
-    """The search's postcondition: W is graded-division, each of its blocks
-    one invertible vector."""
-    _mod, endo = minimal_graded_left_ideal(alg)
+    """``minimal_graded_left_ideal``'s loop, one step at a time.  At each
+    step W = End_A(V) is graded-division (every W block one vector) exactly
+    when its identity block W_e is one vector, and the zero divisor returned
+    shrinks V to a nonzero proper submodule A*w.  Then the search's
+    postcondition: each W block is one invertible vector, where w in W is
+    invertible exactly when A*w is all of V."""
+    mod = _Module(alg, dict(alg.unit))
+    while True:
+        endo = _Endo(alg, mod)
+        one_dim_e = len(endo.w_blocks[mod.h_deg]) == 1
+        assert one_dim_e == all(len(vs) == 1 for vs in endo.w_blocks.values())
+        w = _find_zero_divisor(endo)
+        if w is None:
+            break
+        sub = _Module(alg, w)
+        assert 0 < sub.dim < mod.dim
+        mod = sub
+    mod, endo = minimal_graded_left_ideal(alg)
     for vecs in endo.w_blocks.values():
         assert len(vecs) == 1
-        assert endo.is_invertible(vecs[0])
+        assert _Module(alg, vecs[0]).dim == mod.dim
 
 
 @pytest.mark.parametrize("factors", [(2, 2), (4, 2), (3, 3)])
@@ -134,6 +150,17 @@ def test_build_matrix_over_division_classes(factors):
 def test_minimal_ideal_endomorphisms_are_graded_division():
     for alg in _sample_algebras():
         _assert_minimal_ideal(alg)
+
+
+@pytest.mark.parametrize("factors", [f for f in _ORACLE_CATALOG if math.prod(f) <= 8])
+def test_minimal_ideals_of_catalog_tensor_products(factors):
+    # D1 (x) D2^op over every pair of the group's division classes, as
+    # cross-validation builds them
+    classes = enumerate_division_classes(FinAbGroup(factors))
+    for d1 in classes:
+        for d2 in classes:
+            _assert_minimal_ideal(
+                tensor(build_twisted(d1.bichar), opposite(build_twisted(d2.bichar))))
 
 
 def _reference_normalize(qgroup, counts: Counter) -> tuple:
