@@ -705,6 +705,8 @@ def verify_member_certificate(
     k0: K0Descriptor, z: ProjCoords, verdict: str, cert: dict
 ) -> bool:
     """Replay a certificate of membership in the realized K group."""
+    if z.orbits != k0.orbits:
+        return False
     kind = cert["kind"]
     if kind == "member-witness":
         w = parse_label(k0.group, cert["witness"], "witness", certificate=True)
@@ -736,6 +738,8 @@ def verify_cone_certificate(
     """Replay a certificate of membership in the positive cone.  The
     trivial-coordinate kinds refute the cone only; a yes must be a cone
     witness, as a lattice witness (``cone`` false) shows membership in K."""
+    if z.orbits != k0.orbits:
+        return False
     kind = cert["kind"]
     trivial = z.values[0]
     if kind == "negative-trivial-coordinate":

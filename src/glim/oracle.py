@@ -11,7 +11,8 @@ on the right of V, products in E are reverse composition, so the commutation
 bicharacter of E comes out with the same orientation as the input data.  V
 starts as A and shrinks to A*w, for a zero divisor w split off E's identity
 block E_e by one root of a minimal polynomial, until dim E_e = 1, which is
-when E is graded-division.
+when E is graded-division.  V = A*h and E are one object, ``_Endo``, built
+on one tracked echelon per degree of A that reduces each e_i*h once.
 """
 
 from __future__ import annotations
@@ -277,15 +278,15 @@ class FiniteGradedAlgebra:
         # shift[a][code] multiplies the product a code encodes by r^a
         codes = range(dim * m)
         shift = [[c - c % m + (c + a) % m for c in codes] + [-1] for a in range(m)]
-        # code = t*m + b as the pair (t, shift[b]); -1 gives (-1, shift[m - 1])
-        split = [[(c // m, shift[c % m]) for c in row] for row in prod]
         for i in left:
             row_i = prod[i]
             for j in range(dim):
-                # (e_i e_j) e_k = r^a e_t e_k; e_i (e_j e_k) = r^b e_i e_u
-                t, by_a = split[i][j]
+                # (e_i e_j) e_k = r^a e_t e_k; e_i (e_j e_k) = r^b e_i e_u, with
+                # (t, a) = divmod(code, m): a zero code -1 reads row -1, shift[m - 1]
+                t, a = divmod(row_i[j], m)
+                by_a = shift[a]
                 left = [by_a[c] for c in prod[t]]
-                right = [by_b[row_i[u]] for u, by_b in split[j]]
+                right = [shift[c % m][row_i[c // m]] for c in prod[j]]
                 if left != right:
                     k = next(k for k in range(dim) if left[k] != right[k])
                     raise ValueError(
@@ -496,51 +497,35 @@ def is_central_simple(a: FiniteGradedAlgebra) -> bool:
 # minimal graded left ideals and their endomorphism algebras
 
 
-class _Module:
-    """A graded cyclic left submodule V = A*h with per-degree echelon bases."""
+class _Endo:
+    """A graded cyclic left submodule V = A*h and its endomorphism algebra
+    W = End_A(V), with reverse-composition product.
+
+    One tracked echelon per degree d of A reduces the products e_i*h, e_i of
+    degree d: its rows are V's basis in degree d + deg h (``blocks``, keyed
+    by that degree index), its relations span ann(h) in degree d, and its
+    ``express`` is the preimage under a -> a*h.  Elements of W are identified
+    with their value at h: the carrier is {w in V : ann(h) * w = 0}, the
+    product of w and w' is a_w * w' for any a_w with a_w*h = w, and the
+    identity is h itself.
+    """
 
     def __init__(self, alg: FiniteGradedAlgebra, h: Vec):
         self.alg = alg
-        self.h = dict(h)
         self.h_deg = alg.vec_degree(h)
-        # blocks by degree index, filled in coordinate order of the degrees
-        self.blocks: dict[int, _Echelon] = {}
-        for d, indices in alg.component_indices.items():
-            deg = alg.addition[d][self.h_deg]
-            for i in indices:
-                w = alg.mul_basis(i, h)
-                if w:
-                    self.blocks.setdefault(deg, _Echelon()).add(w)
-        self.dim = sum(e.dim for e in self.blocks.values())
-
-
-class _Endo:
-    """End_A(V) for cyclic graded V = A*h, with reverse-composition product.
-
-    Elements are identified with their value at h: the carrier is
-    W = {w in V : ann(h) * w = 0}, the product of w and w' is a_w * w' for any
-    a_w with a_w*h = w, and the identity is h itself.
-    """
-
-    def __init__(self, alg: FiniteGradedAlgebra, mod: _Module):
-        self.alg = alg
-        self.mod = mod
-        h = mod.h
-        # homogeneous annihilator basis, per degree block of A; each block's
-        # tracked echelon also yields preimages under a -> a*h
         self.ann: list[Vec] = []
-        self._preimage_data: dict[int, _Echelon] = {}
+        self.blocks: dict[int, _Echelon] = {}
         for deg, indices in alg.component_indices.items():
             ech = _Echelon(alg.field)
             for i in indices:
                 relation = ech.add(alg.mul_basis(i, h), i)
                 if relation is not None:
                     self.ann.append(relation)
-            self._preimage_data[alg.addition[deg][mod.h_deg]] = ech
+            self.blocks[alg.addition[deg][self.h_deg]] = ech
         # W per degree index of V: the combinations of V's basis killed by ann
         self.w_blocks: dict[int, list[Vec]] = {}
-        for deg in sorted(mod.blocks):
-            vecs = mod.blocks[deg].rows
+        for deg in sorted(self.blocks):
+            vecs = self.blocks[deg].rows
             ech = _Echelon(alg.field)
             ws = []
             for j, v in enumerate(vecs):
@@ -557,7 +542,7 @@ class _Endo:
             if ws:
                 self.w_blocks[deg] = ws
         self.identity = dict(h)
-        self._h_inverse = alg.addition[mod.h_deg].index(0)
+        self._h_inverse = alg.addition[self.h_deg].index(0)
 
     def endo_degree(self, w_deg: int) -> int:
         """The degree index of the endomorphism whose value at h has w_deg."""
@@ -569,46 +554,37 @@ class _Endo:
 
     def preimage(self, w: Vec) -> Vec:
         """Some algebra element a with a*h = w (w must lie in A*h)."""
-        return self._preimage_data[self.alg.vec_degree(w)].express(w)
+        return self.blocks[self.alg.vec_degree(w)].express(w)
 
     def product(self, w1: Vec, w2: Vec) -> Vec:
         """Reverse-composition product, evaluated at h."""
         return self.alg.mul(self.preimage(w1), w2)
 
 
-def _min_poly(endo: _Endo, w: Vec, cap: int) -> list[CycNum]:
-    """Minimal polynomial coefficients (ascending) of w in the endo algebra."""
+def _min_poly(endo: _Endo, w: Vec, cap: int) -> tuple[list[CycNum], list[Vec]]:
+    """The minimal polynomial's coefficients (ascending) of w in the endo
+    algebra, and the powers w^0, ..., w^(deg - 1) below its degree."""
     field = endo.alg.field
     ech = _Echelon(field)
+    powers: list[Vec] = []
     power = dict(endo.identity)
     for deg in range(cap + 1):
         relation = ech.add(power, deg)
         if relation is not None:
-            return [relation.get(k, field.zero) for k in range(deg + 1)]
+            return [relation.get(k, field.zero) for k in range(deg + 1)], powers
+        powers.append(power)
         power = endo.product(power, w)
     raise AssertionError("minimal polynomial not found below the dimension cap")
 
 
-def _eval_poly(endo: _Endo, coeffs: list[CycNum], w: Vec) -> Vec:
-    out: Vec = {}
-    power = dict(endo.identity)
-    for c in coeffs:
-        if not c.is_zero:
-            _vec_add_scaled(out, power, c)
-        power = endo.product(power, w)
-    return out
-
-
-def _poly_deflate(coeffs: list[CycNum], root: CycNum) -> list[CycNum]:
-    """Divide a polynomial by (x - root) exactly (root must be a root)."""
+def _poly_deflate(coeffs: list[CycNum], root: CycNum) -> tuple[list[CycNum], CycNum]:
+    """p divided by (x - root): the quotient and the remainder p(root)."""
     out = [None] * (len(coeffs) - 1)
     carry = coeffs[-1]
     for i in range(len(coeffs) - 2, -1, -1):
         out[i] = carry
         carry = coeffs[i] + carry * root
-    if not carry.is_zero:
-        raise RuntimeError("deflation by a non-root")
-    return list(out)
+    return out, carry
 
 
 def _find_zero_divisor(endo: _Endo) -> Vec | None:
@@ -623,42 +599,34 @@ def _find_zero_divisor(endo: _Endo) -> Vec | None:
     q(u) (u - r) = p(u) = 0: q(u) is a zero divisor, hence not invertible,
     and A*q(u) is a nonzero proper submodule of V.  The roots tried are the
     field's roots of unity and 0 (complete for the validated scope)."""
-    ws = endo.w_blocks[endo.mod.h_deg]
+    ws = endo.w_blocks[endo.h_deg]
     if len(ws) == 1:
         return None
-    field = endo.alg.field
     for u in ws:
-        p = _min_poly(endo, u, len(ws))
+        p, powers = _min_poly(endo, u, len(ws))
         if len(p) <= 2:
             continue
-        for root in (*endo.alg.roots, field.zero):
-            val = field.zero
-            for c in reversed(p):
-                val = val * root + c
-            if val.is_zero:
-                return _eval_poly(endo, _poly_deflate(p, root), u)
+        for root in (*endo.alg.roots, endo.alg.field.zero):
+            q, remainder = _poly_deflate(p, root)
+            if remainder.is_zero:
+                return _vec_combine(dict(enumerate(q)), powers)
     raise RuntimeError(
         "could not split the endomorphism algebra over this cyclotomic "
         "field; input outside the validated scope"
     )
 
 
-def minimal_graded_left_ideal(
-    a: FiniteGradedAlgebra,
-) -> tuple[_Module, _Endo]:
+def minimal_graded_left_ideal(a: FiniteGradedAlgebra) -> _Endo:
     """A minimal graded left ideal V of a central simple graded algebra A,
-    together with its endomorphism algebra W.
+    with its endomorphism algebra W.
 
     Starting from V = A, V shrinks to A*w, the image of a nonzero
     non-invertible w in W, until W is graded-division; A is
     graded-semisimple, so V is then minimal."""
-    mod = _Module(a, dict(a.unit))
-    while True:
-        endo = _Endo(a, mod)
-        zd = _find_zero_divisor(endo)
-        if zd is None:
-            return mod, endo
-        mod = _Module(a, zd)
+    endo = _Endo(a, a.unit)
+    while (zd := _find_zero_divisor(endo)) is not None:
+        endo = _Endo(a, zd)
+    return endo
 
 
 @dataclass(frozen=True)
@@ -692,7 +660,7 @@ def graded_simple_decompose(a: FiniteGradedAlgebra) -> WedderburnInvariant:
     algebra by minimal-ideal linear algebra."""
     if not is_central_simple(a):
         raise ValueError("input is not central simple")
-    mod, endo = minimal_graded_left_ideal(a)
+    endo = minimal_graded_left_ideal(a)
     sub = subgroup_from_members(a.group, endo.support())
     gens, orders, _ = subgroup_basis(sub)
     elems = a.group.elements()
@@ -721,7 +689,7 @@ def graded_simple_decompose(a: FiniteGradedAlgebra) -> WedderburnInvariant:
     # are one-dimensional (every W block is): a basis vector of degree d spans
     # one dimension in each degree of dT, so a coset holds |T| per basis vector
     qgroup, image = quotient(a.group, sub)
-    dims = GroupRingElem.from_terms(a.group, ((d, b.dim) for d, b in mod.blocks.items()))
+    dims = GroupRingElem.from_terms(a.group, ((d, b.dim) for d, b in endo.blocks.items()))
     counts = pushforward(dims, qgroup, image).scale(Fraction(1, sub.order))
     if not counts.is_integer:
         raise RuntimeError("coset dimension off |T|")

@@ -279,6 +279,31 @@ def test_trivial_coordinate_kinds_refute_the_cone_only(trivial_group):
         assert verify_member_certificate(kt, minus, "no", {"kind": kind}) is False
 
 
+def test_coordinates_over_other_orbits_do_not_replay():
+    # the search refuses such coordinates, so replay answers False for them
+    # instead of indexing past their values
+    z4 = group_new([4])
+    label = GroupRingElem.from_dict(z4, {z4.identity: 1, z4.element((1,)): 1})
+    k = k0_realization(LimitDescriptor(z4, label, (), (label,)))
+    assert len(k.orbits) == 2
+    z = project(GroupRingElem.one(z4), k.orbits[:1])
+    with pytest.raises(ValueError, match="wrong orbit set"):
+        in_k_group(k, z, 4)
+    cert = {
+        "kind": "norm-obstruction",
+        "orbit": {"rep": [1], "size": 2},  # the orbit z lacks
+        "prime": 3,
+        "value_valuation": -1,
+        "prefix_valuation_cap": 0,
+    }
+    assert verify_member_certificate(k, z, "no", cert) is False
+    assert verify_cone_certificate(k, z, "no", cert) is False
+    empty = ProjCoords(z4, (), ())
+    for kind in ("zero-trivial-coordinate", "negative-trivial-coordinate",
+                 "irrational-trivial-coordinate"):
+        assert verify_cone_certificate(k, empty, "no", {"kind": kind}) is False
+
+
 def test_member_monotonicity(klein):
     rng = random.Random(47)
     f = get_field(2)

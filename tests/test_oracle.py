@@ -23,7 +23,6 @@ from glim.oracle import (
     FiniteGradedAlgebra,
     _Echelon,
     _Endo,
-    _Module,
     _find_zero_divisor,
     _poly_deflate,
     _vec_combine,
@@ -105,6 +104,32 @@ def _matrix_multisets(g):
     return [GroupRingElem.from_dict(g, t) for t in terms]
 
 
+def _reference_rows(alg, h):
+    """V = A*h reduced without tracking: per degree index of V, the echelon
+    rows of the nonzero products e_i*h, taken in ``component_indices``
+    order."""
+    h_deg = alg.vec_degree(h)
+    blocks = {}
+    for d, indices in alg.component_indices.items():
+        for i in indices:
+            w = alg.mul_basis(i, h)
+            if w:
+                blocks.setdefault(alg.addition[d][h_deg], _Echelon()).add(w)
+    return {d: ech.rows for d, ech in blocks.items()}
+
+
+def _dim(endo):
+    return sum(block.dim for block in endo.blocks.values())
+
+
+def _endo(alg, h):
+    """``_Endo(alg, h)``, whose per-degree rows must be the untracked
+    reduction's."""
+    endo = _Endo(alg, h)
+    assert {d: b.rows for d, b in endo.blocks.items() if b.rows} == _reference_rows(alg, h)
+    return endo
+
+
 def _assert_minimal_ideal(alg):
     """``minimal_graded_left_ideal``'s loop, one step at a time.  At each
     step W = End_A(V) is graded-division (every W block one vector) exactly
@@ -112,21 +137,20 @@ def _assert_minimal_ideal(alg):
     shrinks V to a nonzero proper submodule A*w.  Then the search's
     postcondition: each W block is one invertible vector, where w in W is
     invertible exactly when A*w is all of V."""
-    mod = _Module(alg, dict(alg.unit))
+    endo = _endo(alg, alg.unit)
     while True:
-        endo = _Endo(alg, mod)
-        one_dim_e = len(endo.w_blocks[mod.h_deg]) == 1
+        one_dim_e = len(endo.w_blocks[endo.h_deg]) == 1
         assert one_dim_e == all(len(vs) == 1 for vs in endo.w_blocks.values())
         w = _find_zero_divisor(endo)
         if w is None:
             break
-        sub = _Module(alg, w)
-        assert 0 < sub.dim < mod.dim
-        mod = sub
-    mod, endo = minimal_graded_left_ideal(alg)
+        sub = _endo(alg, w)
+        assert 0 < _dim(sub) < _dim(endo)
+        endo = sub
+    endo = minimal_graded_left_ideal(alg)
     for vecs in endo.w_blocks.values():
         assert len(vecs) == 1
-        assert _Module(alg, vecs[0]).dim == mod.dim
+        assert sum(map(len, _reference_rows(alg, vecs[0]).values())) == _dim(endo)
 
 
 @pytest.mark.parametrize("factors", [(2, 2), (4, 2), (3, 3)])
@@ -557,13 +581,16 @@ def test_tracked_echelon_relations_and_expressions():
         ech.express({5: one})
 
 
-def test_deflation_by_a_non_root_raises():
+def test_deflation_returns_the_quotient_and_the_remainder():
     fld = get_field(4)
     one, two = fld.one, fld.scalar(2)
     x2_minus_1 = [-one, fld.zero, one]
-    assert _poly_deflate(x2_minus_1, one) == [one, one]  # x + 1
-    with pytest.raises(RuntimeError, match="deflation by a non-root"):
-        _poly_deflate(x2_minus_1, two)
+    # by a root: x + 1, remainder 0
+    assert _poly_deflate(x2_minus_1, one) == ([one, one], fld.zero)
+    # by a non-root: x^2 - 1 = (x - 2)(x + 2) + 3
+    q, remainder = _poly_deflate(x2_minus_1, two)
+    assert q == [two, one]
+    assert not remainder.is_zero and remainder == fld.scalar(3)
 
 
 # ---------------------------------------------------------------------------
@@ -688,13 +715,12 @@ def test_module_blocks_and_endo_support_agree_with_group_elements():
         elems = alg.group.elements()
         one = alg.field.one
         for h in [alg.unit] + [{i: one} for i in rng.sample(range(alg.dim), 3)]:
-            mod = _Module(alg, h)
+            endo = _endo(alg, h)
             h_deg = alg.degrees[min(h)]
             want = {alg.degrees[i] * h_deg
                     for i in range(alg.dim) if _reference_mul(alg, {i: one}, h)}
-            assert {elems[d] for d in mod.blocks} == want
-            for d, block in mod.blocks.items():
+            assert {elems[d] for d, block in endo.blocks.items() if block.rows} == want
+            for d, block in endo.blocks.items():
                 assert all(alg.degrees[k] == elems[d] for row in block.rows for k in row)
-            endo = _Endo(alg, mod)
             support = [elems[d] * h_deg.inverse() for d in endo.w_blocks]
             assert endo.support() == sorted(support, key=lambda g: g.coords)
