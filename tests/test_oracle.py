@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -308,6 +309,52 @@ def test_matrix_of_matrix_is_product(klein):
 
 def test_klein_cross_validation():
     assert cross_validate_group(group_new([2, 2])) == []
+
+
+_PINNED_GROUPS = [(2,), (3,), (4,), (2, 2), (6,), (4, 2), (3, 3), (2, 2, 2), (4, 4)]
+_PINNED_KINDS = ("matrix", "matrix over D", "opposite", "opposite over D",
+                 "tensor with a twisted opposite")
+
+
+def _pinned_cases(rng, count):
+    """``count`` seeded (kind, x, D, D2) draws of dimension at most 256: M_x
+    over the base field or over D, its opposite, or M_x (x) D2^op."""
+    groups = [group_new(list(f)) for f in _PINNED_GROUPS]
+    classes = {g: enumerate_division_classes(g) for g in groups}
+    out = []
+    while len(out) < count:
+        g = rng.choice(groups)
+        kind = rng.choice(_PINNED_KINDS)
+        x = random_label(rng, g, max_terms=3, max_mult=2)
+        d = rng.choice(classes[g]) if kind.endswith("over D") else None
+        d2 = rng.choice(classes[g]) if kind.startswith("tensor") else None
+        dim = x.size() ** 2 * math.prod(c.support.order for c in (d, d2) if c)
+        if dim <= 256:
+            out.append((kind, x, d, d2))
+    return out
+
+
+def test_invariants_of_seeded_algebras_are_pinned():
+    # a refactor of the oracle must leave this digest alone: any change to a
+    # decomposition, a dimension or the draw order moves it
+    digest = hashlib.sha256()
+    seen = Counter()
+    for kind, x, d, d2 in _pinned_cases(random.Random(33), 240):
+        alg = build_matrix(x, d)
+        if kind.startswith("opposite"):
+            alg = opposite(alg)
+        if d2 is not None:
+            alg = tensor(alg, opposite(build_twisted(d2.bichar)))
+        inv = graded_simple_decompose(alg)
+        seen[kind, x.group.factors] += 1
+        digest.update(repr((
+            sorted(g.coords for g in inv.support.elements), inv.bichar.matrix,
+            inv.coset_multiset, inv.quotient_factors, alg.dim,
+        )).encode())
+    assert {k for k, _ in seen} == set(_PINNED_KINDS)
+    assert {f for _, f in seen} == set(_PINNED_GROUPS)
+    assert digest.hexdigest() == (
+        "589e8602341d2b4c0cd8450def9c447eb7d0bd0dde334565191e58f92f2b39f2")
 
 
 def test_mixed_pair_z44_matches_oracle():
