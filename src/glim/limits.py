@@ -267,17 +267,12 @@ def _realize(d: LimitDescriptor) -> K0Descriptor:
 # membership in K and K+
 
 
-def _valuation(q: Fraction, p: int) -> int:
-    if q == 0:
-        raise ValueError("valuation of zero")
+def _power_of(p: int, m: int) -> int:
+    """The exponent of the prime p in the nonzero integer m."""
     v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
+    while m % p == 0:
+        m //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
 
 
@@ -308,7 +303,8 @@ def _norm_obstruction(k0: K0Descriptor, z: ProjCoords) -> dict | None:
                 "kind": "norm-obstruction",
                 "orbit": orbit_payload(orbit),
                 "prime": p,
-                "value_valuation": _valuation(nz, p),
+                # p divides nz's denominator, so not its numerator
+                "value_valuation": -_power_of(p, nz.denominator),
                 # 0: standard_form leaves no prefix (key kept for the schema)
                 "prefix_valuation_cap": 0,
             }
@@ -576,9 +572,10 @@ def iso_elementary(
             cand = _solve_initial_factor(k0a, rhs, pinned)
             if cand is not None:
                 b_list.append(cand)
+        # each candidate has b*x0a_bar = rhs and support S, unchecked: a
+        # translate as b' has S; a solved b is rhs/x0a_bar on S0, nonzero on S
+        # and zero off S, and x0a_bar and rhs vanish off S0
         for b in b_list:
-            if b * k0a.x0_bar != rhs or supp_orbits(b) != k0a.S:
-                continue
             # base memberships, as the replay checks them: b/b' in K_b^+
             # (forward) and b'/b in K_a^+ (backward)
             b_c = project(b, k0a.orbits)

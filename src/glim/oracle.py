@@ -175,10 +175,10 @@ class FiniteGradedAlgebra:
     ``rows[i][j] = (k, e)`` means basis_i * basis_j = r^e * basis_k, with
     ``roots[e] = r^e`` the roots of unity of the field; missing pairs multiply
     to zero.  The rows are kept as given, not copied.  Indices, exponents,
-    grading compatibility and the generators (they must reach every basis
-    index) are checked on construction; up to dimension 256 associativity is
-    also checked exactly, on the basis triples whose left factor lies in the
-    support of the unit or of a generator.
+    grading compatibility and the unit are checked on construction.  The
+    constructor finds a generating set of basis indices itself
+    (``generating_indices``); up to dimension 256 associativity is also
+    checked exactly, on the basis triples whose left factor is one of them.
 
     Internally a degree is its index in ``group.elements()`` (``deg_index``;
     a degree of another group is an error), combined through the group's
@@ -191,7 +191,6 @@ class FiniteGradedAlgebra:
         degrees: tuple[GroupElem, ...],
         rows: list[dict],
         unit: Vec,
-        generators: tuple[Vec, ...] | None = None,
     ):
         self.group = group
         self.degrees = degrees
@@ -200,9 +199,6 @@ class FiniteGradedAlgebra:
         self.unit = dict(unit)
         self.field = get_field(oracle_conductor(group))
         self.roots = _roots(self.field)
-        if generators is None:
-            generators = tuple({i: self.field.one} for i in range(self.dim))
-        self.generators = tuple(dict(g) for g in generators)
         # a degree of another group, or with unreduced coordinates, has no index
         index = _element_index(group)
         deg = [index.get(d.coords) if d.group == group else None for d in degrees]
@@ -222,45 +218,47 @@ class FiniteGradedAlgebra:
                     raise ValueError("structure-constant cell out of range")
                 if add_d[deg[j]] != deg[k]:
                     raise ValueError("structure constants violate the grading")
-        if any(not 0 <= i < dim for v in (self.unit, *self.generators) for i in v):
-            raise ValueError("unit or generator key out of range")
+        if any(not 0 <= i < dim for i in self.unit):
+            raise ValueError("unit key out of range")
         for i in range(self.dim):
             e_i = {i: self.field.one}
             if self.mul(self.unit, e_i) != e_i or self.mul(e_i, self.unit) != e_i:
                 raise ValueError("unit coordinates are wrong")
-        left = self._generating_indices()
+        self.generating_indices = self._find_generating_indices()
         if self.dim <= ASSOC_CHECK_DIM:
-            self._check_associativity(left)
+            self._check_associativity()
 
-    def _generating_indices(self) -> list[int]:
-        """The basis indices I in the supports of the unit and the generators,
-        ascending, once left products e_i e_r with i in I, starting from I,
-        have reached every basis index.  In an associative algebra every
-        product of the generators is a combination of the basis elements
-        these products reach, so generators that miss an index cannot
-        generate the algebra."""
-        left = sorted({i for v in (self.unit, *self.generators) for i in v})
-        reached = set(left)
-        frontier = list(left)
-        left_rows = [self.rows[i] for i in left]
-        while frontier and len(reached) < self.dim:
-            r = frontier.pop()
-            for row in left_rows:
-                cell = row.get(r)
-                if cell and cell[0] not in reached:
-                    reached.add(cell[0])
-                    frontier.append(cell[0])
-        if len(reached) < self.dim:
-            raise ValueError("the generators do not generate the algebra")
-        return left
+    def _find_generating_indices(self) -> tuple[int, ...]:
+        """The basis indices I, ascending, that left products e_i e_r with i
+        an earlier member of I, starting from those members, have not
+        reached.  Each basis product is a root of unity times one basis
+        element, so every basis element is, up to such a root, a product of
+        the e_i, i in I: they generate the algebra.  Adding a member extends
+        the closure (its row multiplies every index reached so far) instead
+        of restarting it, so the search reads O(|I| dim) cells."""
+        members, member_rows = [], []
+        seen = [False] * self.dim
+        for g in range(self.dim):
+            if seen[g]:
+                continue
+            members.append(g)
+            member_rows.append(self.rows[g])
+            frontier = [g, *(t for j, (t, _) in self.rows[g].items() if seen[j])]
+            while frontier:
+                t = frontier.pop()
+                if not seen[t]:
+                    seen[t] = True
+                    frontier += [c[0] for row in member_rows if (c := row.get(t))]
+        return tuple(members)
 
-    def _check_associativity(self, left: list[int]):
-        """Exact check on the basis triples (i, j, k) with i in ``left``.
+    def _check_associativity(self):
+        """Exact check on the basis triples (i, j, k) with i in
+        ``generating_indices``.
 
-        That is enough when left products e_i e_r, i in ``left``, reach every
-        basis index from ``left`` (``_generating_indices``).  The elements x
-        with (xy)z = x(yz) for all y, z form a subspace L.  The check puts
-        each e_i in L, and L is closed under x -> e_i x: for x in L,
+        That is enough because left products e_i e_r, i in I, reach every
+        basis index from I.  The elements x with (xy)z = x(yz) for all y, z
+        form a subspace L.  The check puts each e_i in L, and L is closed
+        under x -> e_i x: for x in L,
         ((e_i x)y)z = (e_i(xy))z = e_i((xy)z) = e_i(x(yz)) = (e_i x)(yz).  So
         L holds every basis element the left products reach, and L = A.
 
@@ -278,7 +276,7 @@ class FiniteGradedAlgebra:
         # shift[a][code] multiplies the product a code encodes by r^a
         codes = range(dim * m)
         shift = [[c - c % m + (c + a) % m for c in codes] + [-1] for a in range(m)]
-        for i in left:
+        for i in self.generating_indices:
             row_i = prod[i]
             for j in range(dim):
                 # (e_i e_j) e_k = r^a e_t e_k; e_i (e_j e_k) = r^b e_i e_u, with
@@ -359,9 +357,7 @@ def build_twisted(bichar: Bicharacter) -> FiniteGradedAlgebra:
     The cocycle is the lower-triangular bimultiplicative splitting over the
     canonical basis, which realizes exactly the requested commutation values
     (asserted through the construction-time associativity check and the
-    round-trip tests, not trusted).  The generators are the basis elements of
-    the canonical generators (the unit for the trivial subgroup), so the
-    check runs on their rows and the unit's only.
+    round-trip tests, not trusted).
     """
     sub = bichar.subgroup
     G = sub.parent
@@ -384,9 +380,7 @@ def build_twisted(bichar: Bicharacter) -> FiniteGradedAlgebra:
     for s, p in pos.items():
         for t, q in pos.items():
             rows[p][q] = (pos[add[s][t]], 2 * _form(lower, words[p], words[q], n))
-    unit = {pos[0]: fld.one}
-    gen_vecs = tuple({pos[index[g.coords]]: fld.one} for g in gens) or (dict(unit),)
-    return FiniteGradedAlgebra(G, tuple(elems), rows, unit, generators=gen_vecs)
+    return FiniteGradedAlgebra(G, tuple(elems), rows, {pos[0]: fld.one})
 
 
 def build_matrix(
@@ -417,12 +411,7 @@ def build_matrix(
         for q in range(size)
     ]
     unit = {p * size + p: fld.one for p in range(size)}
-    gens = [
-        {i: fld.one}
-        for p in range(size - 1)
-        for i in (p * size + p + 1, (p + 1) * size + p)
-    ]
-    units = FiniteGradedAlgebra(G, degrees, rows, unit, generators=gens or [unit])
+    units = FiniteGradedAlgebra(G, degrees, rows, unit)
     if division is None:
         return units
     return tensor(units, build_twisted(division.bichar))
@@ -444,14 +433,8 @@ def tensor(a: FiniteGradedAlgebra, b: FiniteGradedAlgebra) -> FiniteGradedAlgebr
          for j1, (k1, e1) in row1.items() for j2, (k2, e2) in row2.items()}
         for row1 in a.rows for row2 in b.rows
     ]
-
-    def embed(u: Vec, v: Vec) -> Vec:
-        return {i * bd + j: c1 * c2 for i, c1 in u.items() for j, c2 in v.items()}
-
-    unit = embed(a.unit, b.unit)
-    gens = [embed(g, b.unit) for g in a.generators]
-    gens += [embed(a.unit, g) for g in b.generators]
-    return FiniteGradedAlgebra(a.group, degrees, rows, unit, generators=tuple(gens))
+    unit = {i * bd + j: c1 * c2 for i, c1 in a.unit.items() for j, c2 in b.unit.items()}
+    return FiniteGradedAlgebra(a.group, degrees, rows, unit)
 
 
 def opposite(a: FiniteGradedAlgebra) -> FiniteGradedAlgebra:
@@ -460,7 +443,7 @@ def opposite(a: FiniteGradedAlgebra) -> FiniteGradedAlgebra:
     for i, row in enumerate(a.rows):
         for j, cell in row.items():
             rows[j][i] = cell
-    return FiniteGradedAlgebra(a.group, a.degrees, rows, a.unit, generators=a.generators)
+    return FiniteGradedAlgebra(a.group, a.degrees, rows, a.unit)
 
 
 # ---------------------------------------------------------------------------
@@ -468,21 +451,24 @@ def opposite(a: FiniteGradedAlgebra) -> FiniteGradedAlgebra:
 
 
 def center_dimension(a: FiniteGradedAlgebra) -> int:
-    """Dimension of the center, via commutation with the stored generators
-    (the constructor refuses generators whose products miss a basis element)."""
-    # unknowns: coefficients z_k; constraints: z*g - g*z = 0 per generator,
-    # where e_k*g is a row product and g*e_k reads column k of g's rows
+    """Dimension of the center: the commutant of the basis elements e_i, i in
+    ``generating_indices``, which generate the algebra, so it is exact."""
+    # unknowns: coefficients z_k; constraints: z*e_i - e_i*z = 0 per i, where
+    # e_k*e_i and e_i*e_k are the cells (k, i) and (i, k), which cancel when
+    # they are equal
+    signs = (a.field.one, -a.field.one)
     rows: dict = {}
-    for gi, gvec in enumerate(a.generators):
-        neg = [(a.rows[i], -c) for i, c in gvec.items()]
+    for i in a.generating_indices:
         for k in range(a.dim):
-            diff = a.mul_basis(k, gvec)
-            for row, c in neg:
-                cell = row.get(k)
+            cells = a.rows[k].get(i), a.rows[i].get(k)
+            if cells[0] == cells[1]:
+                continue
+            diff: Vec = {}
+            for cell, sign in zip(cells, signs):
                 if cell:
-                    a._add_term(diff, *cell, c)
+                    a._add_term(diff, *cell, sign)
             for out, c in diff.items():
-                rows.setdefault((gi, out), {})[k] = c
+                rows.setdefault((i, out), {})[k] = c
     ech = _Echelon()
     for key in sorted(rows):
         ech.add(rows[key])
@@ -522,6 +508,7 @@ class _Endo:
                 if relation is not None:
                     self.ann.append(relation)
             self.blocks[alg.addition[deg][self.h_deg]] = ech
+        self.dim = alg.dim - len(self.ann)  # of V
         # W per degree index of V: the combinations of V's basis killed by ann
         self.w_blocks: dict[int, list[Vec]] = {}
         for deg in sorted(self.blocks):
@@ -622,10 +609,15 @@ def minimal_graded_left_ideal(a: FiniteGradedAlgebra) -> _Endo:
 
     Starting from V = A, V shrinks to A*w, the image of a nonzero
     non-invertible w in W, until W is graded-division; A is
-    graded-semisimple, so V is then minimal."""
+    graded-semisimple, so V is then minimal.  dim V falls at every step, so
+    there are at most dim A steps; a step that does not shrink V is an
+    error."""
     endo = _Endo(a, a.unit)
     while (zd := _find_zero_divisor(endo)) is not None:
-        endo = _Endo(a, zd)
+        smaller = _Endo(a, zd)
+        if smaller.dim >= endo.dim:
+            raise RuntimeError("a zero divisor did not shrink the left ideal")
+        endo = smaller
     return endo
 
 

@@ -280,16 +280,29 @@ def test_brauer_inv(files, capsys):
 
 
 def test_brauer_equiv(files, capsys):
-    code, _ = run(
+    code, out = run(
         capsys, "brauer", "equiv", files["pauli"], files["trivial"], files["a"],
-        "--json",
+        "--json", "--check-certificate",
     )
     assert code == 1
-    code, _ = run(
+    assert json.loads(out)["certificate_ok"] is True
+    code, out = run(
         capsys, "brauer", "equiv", files["pauli"], files["trivial"], files["a_prime"],
-        "--json",
+        "--json", "--check-certificate",
     )
     assert code == 0
+    assert json.loads(out)["certificate_ok"] is True
+
+
+def test_certificate_that_fails_to_replay_exits_2(files, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_general_iso_certificate", lambda *args: False)
+    code, out, err = _outcome(capsys, [
+        "iso", files["a_pauli"], files["a_prime"], "--json", "--check-certificate",
+    ])
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["certificate_ok"] is False and payload["verdict"] == "no"
+    assert err == "error: certificate failed to replay\n"
 
 
 def test_oracle_check_small(capsys):

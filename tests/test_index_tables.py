@@ -14,6 +14,7 @@ from glim.groupring import GroupRingElem
 from glim.oracle import build_matrix, build_twisted, center_dimension, opposite, tensor
 
 from test_derive_once import DECIDE_MIXED_GROUPS
+from test_oracle import _catalog_tensor_products, _sample_algebras
 
 GROUPS = DECIDE_MIXED_GROUPS + [[2, 2, 2, 2]]
 
@@ -123,8 +124,8 @@ def _dense_rank(matrix, field) -> int:
 
 
 def _dense_center_dimension(a) -> int:
-    """dim A minus the rank of z -> (z*g - g*z) over the stored generators g,
-    with every product read cell by cell off ``rows`` into dense rows."""
+    """dim A minus the rank of z -> (z*e_j - e_j*z) over every basis element
+    e_j, with every product read cell by cell off ``rows`` into dense rows."""
     fld, dim = a.field, a.dim
 
     def basis_product(i, j):
@@ -132,18 +133,24 @@ def _dense_center_dimension(a) -> int:
         return (None, fld.zero) if cell is None else (cell[0], a.roots[cell[1]])
 
     rows = []
-    for g in a.generators:
-        block = [[fld.zero] * dim for _ in range(dim)]  # block[t][k]: e_t of [e_k, g]
+    for j in range(dim):
+        block = [[fld.zero] * dim for _ in range(dim)]  # block[t][k]: e_t of [e_k, e_j]
         for k in range(dim):
-            for j, c in g.items():
-                t, r = basis_product(k, j)
-                if t is not None:
-                    block[t][k] = block[t][k] + c * r
-                t, r = basis_product(j, k)
-                if t is not None:
-                    block[t][k] = block[t][k] - c * r
+            t, r = basis_product(k, j)
+            if t is not None:
+                block[t][k] = block[t][k] + r
+            t, r = basis_product(j, k)
+            if t is not None:
+                block[t][k] = block[t][k] - r
         rows += block
-    return dim - _dense_rank(rows, fld)
+    # one copy of each nonzero row up to scale: the rank is the same
+    scaled = {}
+    for row in rows:
+        lead = next((c for c in row if not c.is_zero), None)
+        if lead is not None:
+            inv = lead.inverse()
+            scaled[tuple(c * inv for c in row)] = row
+    return dim - _dense_rank(scaled.values(), fld)
 
 
 @st.composite
@@ -191,3 +198,8 @@ def test_center_dimension_of_matrix_algebras(factors, data):
     x = GroupRingElem.from_dict(group, {g: label.count(g) for g in label})
     a = build_matrix(x, cls)
     assert center_dimension(a) == _dense_center_dimension(a) == 1
+
+
+def test_center_dimension_of_sample_and_catalog_algebras():
+    for a in _sample_algebras() + _catalog_tensor_products():
+        assert center_dimension(a) == _dense_center_dimension(a)

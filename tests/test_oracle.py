@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from glim.cli import _ORACLE_CATALOG
 from glim.cyclotomic import get_field
 from glim.divalg import Bicharacter, DivisionClass, enumerate_division_classes
 from glim.groupring import GroupRingElem, pushforward
+from glim import oracle
 from glim.oracle import (
     FiniteGradedAlgebra,
     _Echelon,
@@ -120,7 +122,9 @@ def _reference_rows(alg, h):
 
 
 def _dim(endo):
-    return sum(block.dim for block in endo.blocks.values())
+    dim = sum(block.dim for block in endo.blocks.values())
+    assert endo.dim == dim
+    return dim
 
 
 def _endo(alg, h):
@@ -170,6 +174,13 @@ def test_build_matrix_over_division_classes(factors):
             cosets = pushforward(x, qgroup, alpha)
             assert inv.coset_multiset == normalize_coset_multiset(cosets)
             _assert_minimal_ideal(alg)
+
+
+def test_a_step_that_does_not_shrink_the_ideal_raises(monkeypatch, pauli):
+    # h itself gives A*h = V: without the check the loop would never end
+    monkeypatch.setattr(oracle, "_find_zero_divisor", lambda endo: endo.identity)
+    with pytest.raises(RuntimeError, match="did not shrink the left ideal"):
+        minimal_graded_left_ideal(build_twisted(pauli.bichar))
 
 
 def test_minimal_ideal_endomorphisms_are_graded_division():
@@ -427,23 +438,67 @@ def test_product_zero_in_one_bracketing_only_fails_associativity(klein_full):
         FiniteGradedAlgebra(alg.group, alg.degrees, rows, alg.unit)
 
 
-def test_generators_that_cannot_generate_are_rejected(klein_full):
-    # the Pauli algebra is central simple, so the unit alone or one of its two
-    # generators would read a center of dimension 4 or 2
-    alg = build_twisted(Bicharacter.from_exponents(klein_full, [[0, 1], [1, 0]]))
-    assert len(alg.generators) == 2
-    for gens in [(alg.unit,), alg.generators[:1], alg.generators[1:]]:
-        with pytest.raises(ValueError, match="the generators do not generate the algebra"):
-            FiniteGradedAlgebra(alg.group, alg.degrees, alg.rows, alg.unit, gens)
+def _left_closure(alg, members):
+    """The basis indices reached from ``members`` by left products e_i e_r,
+    i in ``members``."""
+    reached, frontier = set(members), list(members)
+    while frontier:
+        r = frontier.pop()
+        for i in members:
+            cell = alg.rows[i].get(r)
+            if cell and cell[0] not in reached:
+                reached.add(cell[0])
+                frontier.append(cell[0])
+    return reached
+
+
+def _catalog_tensor_products():
+    """D1 (x) D2^op over every pair of division classes of the catalog
+    groups of order at most 8, as cross-validation builds them."""
+    out = []
+    for factors in _ORACLE_CATALOG:
+        if math.prod(factors) <= 8:
+            classes = enumerate_division_classes(FinAbGroup(factors))
+            out += [tensor(build_twisted(d1.bichar), opposite(build_twisted(d2.bichar)))
+                    for d1 in classes for d2 in classes]
+    return out
+
+
+def test_generating_indices_follow_the_ascending_rule():
+    # I is ascending, a basis index is in I exactly when left products by the
+    # members of I below it do not reach it, and I reaches every index
+    for alg in _sample_algebras() + _catalog_tensor_products():
+        found = alg.generating_indices
+        assert list(found) == sorted(set(found))
+        for k in range(alg.dim):
+            below = [g for g in found if g < k]
+            assert (k in found) == (k not in _left_closure(alg, below))
+        assert _left_closure(alg, found) == set(range(alg.dim))
+    # M_n: E_00, ..., E_0(n-1), then E_10, ..., E_(n-1)0
+    klein = group_new([2, 2])
+    for n in (1, 2, 5):
+        size = len(build_matrix(GroupRingElem.constant(klein, n)).generating_indices)
+        assert size == 2 * n - 1
+
+
+def test_center_reads_generating_basis_elements(klein_full):
+    # the Pauli algebra rebuilt from its rows and unit alone is central
+    # simple: the center is the commutant of the generating set the
+    # constructor finds (the unit, X and Z), not of a vector such as X + Z
+    pauli = build_twisted(Bicharacter.from_exponents(klein_full, [[0, 1], [1, 0]]))
+    alg = FiniteGradedAlgebra(pauli.group, pauli.degrees, pauli.rows, pauli.unit)
+    assert alg.generating_indices == (0, 1, 2)
+    assert is_central_simple(alg)
+    assert graded_simple_decompose(alg) == graded_simple_decompose(pauli)
 
 
 def test_each_generator_row_is_checked(klein_full):
     # -1 on the cells (g, gh) and (gh, gh) of the commutative Klein group
     # algebra breaks associativity only for the left factors g and gh, so
-    # only the row of g among the unit's and the generators' finds it
+    # only the row of g among the generating indices finds it
     alg = build_twisted(Bicharacter.trivial(klein_full))
-    gens = [min(v) for v in alg.generators]
-    assert sorted([*alg.unit, *gens]) == [0, 1, 2]
+    assert alg.generating_indices == (0, 1, 2) and alg.unit == {0: alg.field.one}
+    gens = list(alg.generating_indices[1:])
     m = len(alg.roots)
     for g, h in (gens, gens[::-1]):
         gh = alg.rows[g][h][0]
@@ -452,7 +507,7 @@ def test_each_generator_row_is_checked(klein_full):
             k, e = rows[i][gh]
             rows[i][gh] = (k, (e + m // 2) % m)
         with pytest.raises(ValueError, match=rf"associativity fails on basis triple \({g},"):
-            FiniteGradedAlgebra(alg.group, alg.degrees, rows, alg.unit, alg.generators)
+            FiniteGradedAlgebra(alg.group, alg.degrees, rows, alg.unit)
 
 
 def _perturbation_algebras():
@@ -487,23 +542,47 @@ def _perturbed_rows(alg, rng):
     return rows
 
 
-def _rejects(alg, rows, generators):
+def _rejects(alg, rows):
     try:
-        FiniteGradedAlgebra(alg.group, alg.degrees, rows, alg.unit, generators)
+        FiniteGradedAlgebra(alg.group, alg.degrees, rows, alg.unit)
     except ValueError:
         return True
+    return False
+
+
+def _all_rows_check_rejects(alg, rows):
+    """The reference: the unit check, then (e_i e_j) e_k = e_i (e_j e_k) on
+    every basis triple, each product a cell (t, a) for r^a e_t, or None."""
+    m = len(alg.roots)
+    table = types.SimpleNamespace(rows=rows, field=alg.field, roots=alg.roots)
+    for i in range(alg.dim):
+        e_i = {i: alg.field.one}
+        if e_i != _reference_mul(table, alg.unit, e_i) or e_i != _reference_mul(table, e_i, alg.unit):
+            return True
+
+    def times(i, cell):
+        """e_i (r^a e_t), with cell (t, a)."""
+        prod = cell and rows[i].get(cell[0])
+        return prod and (prod[0], (prod[1] + cell[1]) % m)
+
+    for i, j, k in itertools.product(range(alg.dim), repeat=3):
+        ij = rows[i].get(j)
+        left = ij and rows[ij[0]].get(k)
+        left = left and (left[0], (left[1] + ij[1]) % m)
+        if left != times(i, rows[j].get(k)):
+            return True
     return False
 
 
 def test_generator_rows_check_decides_like_the_all_rows_check():
     for alg in _sample_algebras():
         if alg.dim >= 16:
-            assert len(alg._generating_indices()) < alg.dim
+            assert len(alg.generating_indices) < alg.dim
     rng = random.Random(29)
     for alg in _perturbation_algebras():
         for _ in range(30):
             rows = _perturbed_rows(alg, rng)
-            assert _rejects(alg, rows, alg.generators) == _rejects(alg, rows, None)
+            assert _rejects(alg, rows) == _all_rows_check_rejects(alg, rows)
 
 
 def test_perturbed_constant_in_dimension_256_fails_associativity():
@@ -515,7 +594,7 @@ def test_perturbed_constant_in_dimension_256_fails_associativity():
     rows = _copy_rows(alg)
     rows[5][9] = _times_r(alg, alg.rows[5].get(9))
     with pytest.raises(ValueError, match="associativity fails"):
-        FiniteGradedAlgebra(alg.group, alg.degrees, rows, alg.unit, alg.generators)
+        FiniteGradedAlgebra(alg.group, alg.degrees, rows, alg.unit)
 
 
 def test_cell_with_index_out_of_range_is_rejected():
@@ -571,14 +650,12 @@ def test_row_key_past_the_dimension_is_rejected(klein_full):
         _with_extra_row(alg, alg.dim)
 
 
-def test_unit_and_generator_keys_out_of_range_are_rejected(klein_full):
+def test_unit_keys_out_of_range_are_rejected(klein_full):
     alg = _klein_twisted(klein_full)
     one = alg.field.one
     for bad in (alg.dim, -1):
-        with pytest.raises(ValueError, match="unit or generator key out of range"):
+        with pytest.raises(ValueError, match="unit key out of range"):
             FiniteGradedAlgebra(alg.group, alg.degrees, alg.rows, {bad: one})
-        with pytest.raises(ValueError, match="unit or generator key out of range"):
-            FiniteGradedAlgebra(alg.group, alg.degrees, alg.rows, alg.unit, ({bad: one},))
 
 
 def test_cell_in_the_wrong_degree_is_rejected():
